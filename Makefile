@@ -21,11 +21,13 @@ bench:
 # plus the two headline figure matrices, archived as machine-readable
 # JSON; CI uploads the file as an artifact. The memory-hierarchy fast-path
 # benchmarks run as a second pass with the default benchtime — they are
-# nanosecond-scale, so 3 iterations would be pure noise.
+# nanosecond-scale, so 3 iterations would be pure noise. Every pass runs
+# at -cpu 1 (names without a -N suffix, as in the GOMAXPROCS=1 baseline)
+# and -count 5; benchjson keeps the median of the five samples.
 bench-json:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkEngineStep|BenchmarkRunOutageFree|BenchmarkRunRFHome|BenchmarkRunBatch' . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkFig5OutageFree|BenchmarkFig6RFHome' -benchtime 3x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkCacheProbe|BenchmarkCacheDirtySweep|BenchmarkCacheInvalidate|BenchmarkBufferSearch' . ; } \
+	{ $(GO) test -run '^$$' -cpu 1 -count 5 -bench 'BenchmarkEngineStep|BenchmarkRunOutageFree|BenchmarkRunRFHome' . ; \
+	  $(GO) test -run '^$$' -cpu 1 -count 5 -bench 'BenchmarkFig5OutageFree|BenchmarkFig6RFHome' -benchtime 3x . ; \
+	  $(GO) test -run '^$$' -cpu 1 -count 5 -bench 'BenchmarkCacheProbe|BenchmarkCacheDirtySweep|BenchmarkCacheInvalidate|BenchmarkBufferSearch' . ; } \
 		| $(GO) run ./cmd/benchjson -o BENCH_engine.json
 	@cat BENCH_engine.json
 

@@ -24,20 +24,11 @@ import (
 const benchWorkload = "fft"
 
 func benchCompile(b *testing.B, kind arch.Kind) (*compiler.Result, config.Params) {
-	return benchCompileW(b, benchWorkload, kind)
-}
-
-func benchCompileW(b *testing.B, name string, kind arch.Kind) (*compiler.Result, config.Params) {
 	b.Helper()
 	p := config.Default()
-	var w workloads.Workload
-	for _, cand := range workloads.All() {
-		if cand.Name == name {
-			w = cand
-		}
-	}
-	if w.Name == "" {
-		b.Fatalf("workload %q not found", name)
+	w, err := workloads.ByName(benchWorkload)
+	if err != nil {
+		b.Fatal(err)
 	}
 	cres, err := core.Compile(func() *ir.Program { return w.Build(1) }, kind, p)
 	if err != nil {
@@ -104,42 +95,3 @@ func BenchmarkRunRFHome(b *testing.B) {
 	b.StopTimer()
 	reportInstrRate(b, instrs)
 }
-
-// benchRunBatch measures the lockstep multi-seed engine at a given batch
-// width, reporting the aggregate simulated-instruction rate summed across
-// lanes. The cell is basicmath on WT-VCache under the Thermal trace: an
-// ALU-heavy workload makes the shared decode+semantics slice large, and
-// the smooth thermal harvest keeps lanes in lockstep (outages, where lanes
-// diverge and run solo, are rare), so this cell shows the amortization
-// ceiling. Width 1 exercises the scalar fallback, so BenchmarkRunBatch8
-// vs 8× BenchmarkRunBatch1 is the lockstep speedup over sequential runs.
-func benchRunBatch(b *testing.B, width int) {
-	cres, p := benchCompileW(b, "basicmath", arch.WTVCache)
-	var instrs uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		schemes := make([]arch.Scheme, width)
-		opt := sim.BatchOptions{Sources: make([]trace.Source, width)}
-		for j := range schemes {
-			schemes[j] = arch.New(arch.WTVCache, p)
-			opt.Sources[j] = trace.NewShared(trace.Thermal, int64(j+1))
-		}
-		results, errs, err := sim.RunBatch(cres.Linked, schemes, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		instrs = 0
-		for j, res := range results {
-			if errs[j] != nil {
-				b.Fatal(errs[j])
-			}
-			instrs += res.Counts.Executed
-		}
-	}
-	b.StopTimer()
-	reportInstrRate(b, instrs)
-}
-
-func BenchmarkRunBatch1(b *testing.B)  { benchRunBatch(b, 1) }
-func BenchmarkRunBatch8(b *testing.B)  { benchRunBatch(b, 8) }
-func BenchmarkRunBatch32(b *testing.B) { benchRunBatch(b, 32) }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -54,14 +55,22 @@ func ParseLine(line string) (Result, bool) {
 // Parse converts `go test -bench` text output into a Doc. Benchmark
 // lines become Results; "key: value" header lines (goos, goarch, pkg,
 // cpu) land in Context; everything else (PASS/ok trailers) is dropped.
+// A benchmark repeated under -count N collapses to one Result, in order
+// of first appearance, carrying the median of each metric and of the
+// iteration counts.
 func Parse(r io.Reader) (*Doc, error) {
 	doc := &Doc{Context: map[string]string{}, Results: []Result{}}
+	samples := map[string][]Result{}
+	var order []string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		if res, ok := ParseLine(line); ok {
-			doc.Results = append(doc.Results, res)
+			if samples[res.Name] == nil {
+				order = append(order, res.Name)
+			}
+			samples[res.Name] = append(samples[res.Name], res)
 			continue
 		}
 		if k, v, ok := strings.Cut(line, ":"); ok && !strings.Contains(k, " ") && v != "" {
@@ -71,7 +80,42 @@ func Parse(r io.Reader) (*Doc, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("benchfmt: parse: %w", err)
 	}
+	for _, name := range order {
+		doc.Results = append(doc.Results, medianResult(samples[name]))
+	}
 	return doc, nil
+}
+
+// medianResult collapses one benchmark's samples: every metric, and the
+// iteration count, becomes its median over the samples that carry it.
+func medianResult(rs []Result) Result {
+	if len(rs) == 1 {
+		return rs[0]
+	}
+	iters := make([]float64, len(rs))
+	vals := map[string][]float64{}
+	for i, r := range rs {
+		iters[i] = float64(r.Iterations)
+		for k, v := range r.Metrics {
+			vals[k] = append(vals[k], v)
+		}
+	}
+	out := Result{Name: rs[0].Name, Iterations: int64(median(iters)), Metrics: map[string]float64{}}
+	for k, v := range vals {
+		out.Metrics[k] = median(v)
+	}
+	return out
+}
+
+// median returns the middle value of xs (the mean of the two middle
+// values for an even count), sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // ReadFile loads a JSON benchmark document.

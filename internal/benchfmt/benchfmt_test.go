@@ -43,6 +43,34 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseMedianOfRepeats: a benchmark run under -count N appears N
+// times; Parse keeps one entry per name, in first-appearance order, with
+// the median of each metric and of the iteration counts.
+func TestParseMedianOfRepeats(t *testing.T) {
+	const in = `BenchmarkA 100 10 ns/op 300 sim-instrs/s
+BenchmarkB 7 1 ns/op
+BenchmarkA 300 30 ns/op 100 sim-instrs/s
+BenchmarkA 200 20 ns/op 900 sim-instrs/s
+BenchmarkB 9 3 ns/op
+PASS
+`
+	doc, err := Parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Results) != 2 || doc.Results[0].Name != "BenchmarkA" || doc.Results[1].Name != "BenchmarkB" {
+		t.Fatalf("results: %+v, want one A then one B", doc.Results)
+	}
+	a := doc.Results[0]
+	if a.Iterations != 200 || a.Metrics["ns/op"] != 20 || a.Metrics["sim-instrs/s"] != 300 {
+		t.Fatalf("A (odd count): %+v, want iterations 200, 20 ns/op, 300 sim-instrs/s", a)
+	}
+	b := doc.Results[1]
+	if b.Iterations != 8 || b.Metrics["ns/op"] != 2 {
+		t.Fatalf("B (even count): %+v, want the mean of the two middle samples", b)
+	}
+}
+
 func TestParseLineRejects(t *testing.T) {
 	for _, line := range []string{
 		"",

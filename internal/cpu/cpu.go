@@ -3,7 +3,7 @@
 // behaviour — caches, persist buffers, NVM, persistence stalls — is behind
 // the MemSystem interface that each architecture scheme implements.
 //
-// Energy is not returned by Step: schemes and the engine attribute energy
+// Energy is not returned by StepFast: schemes and the engine attribute energy
 // to the shared ledger directly, and the engine draws the ledger delta from
 // the capacitor after each step (see internal/sim).
 package cpu
@@ -117,18 +117,11 @@ type StepTiming struct {
 	DivCycles int64
 }
 
-// Step executes the instruction at PC against ms and returns its time
-// cost. It panics on malformed code (the linker guarantees well-formed
-// programs).
-func (c *CPU) Step(now int64, ms MemSystem, t StepTiming) Cost {
-	ns, _ := c.StepFast(now, ms, t)
-	return Cost{Ns: ns}
-}
-
 // StepFast executes the instruction at PC against ms and returns its time
 // cost in nanoseconds plus its dispatch class, through the predecoded
 // table: one dense switch, no opcode range tests, and the class flows
-// back to the engine so it never re-reads the instruction word.
+// back to the engine so it never re-reads the instruction word. It panics
+// on malformed code (the linker guarantees well-formed programs).
 func (c *CPU) StepFast(now int64, ms MemSystem, t StepTiming) (int64, isa.Class) {
 	if c.Halted {
 		return 0, isa.ClassHalt
@@ -253,7 +246,7 @@ func (c *CPU) ClassAt(pc int64) isa.Class { return c.dec[pc].Class }
 
 // RunUntraced is the engine's fused outage-free inner loop: it retires
 // instructions back-to-back — keeping PC and the executed counter in
-// locals instead of reloading them through c on every Step call — until
+// locals instead of reloading them through c on every StepFast call — until
 // the program halts, the instruction budget max would be exceeded, or a
 // region-delimiting instruction (region end / fence) retires, which the
 // caller observes for region-size bookkeeping. It returns the elapsed
@@ -268,7 +261,7 @@ func (c *CPU) ClassAt(pc int64) isa.Class { return c.dec[pc].Class }
 // Load/Store, so it is read and written through the pointer on every
 // instruction, never cached in a local.
 //
-// The dispatch switch below must stay in lockstep with StepFast; the
+// The dispatch switch below must stay in step with StepFast; the
 // traced-versus-untraced matrix test in internal/sim pins the
 // equivalence.
 func (c *CPU) RunUntraced(now int64, ms MemSystem, t StepTiming, eByNs []float64, eInstr, pRun float64, compute *float64, max uint64) (elapsed int64, instrs int, delim bool) {
@@ -475,22 +468,28 @@ type EpochControl struct {
 	OnRegionEnd  func(int) // region-size histogram sink
 }
 
-// RunEpoch retires one epoch's instructions back-to-back — the fused
-// counterpart of the engine's per-step epoch loop, with PC and the
-// executed counter in locals. It stops exactly where the per-step loop
-// would: on a structural backup request, at the instruction budget, on
-// halt, on an instruction at the single-instruction latency bound, when
-// the next instruction might not fit in the power-trace segment, or when
-// the ledger delta reaches the epoch budget. It returns the elapsed time
-// and the updated running region length.
+// RunEpoch retires one epoch's instructions back-to-back, with PC and the
+// executed counter in locals. It stops on a structural backup request, at
+// the instruction budget, on halt, on an instruction at the
+// single-instruction latency bound, when the next instruction might not
+// fit in the power-trace segment, or when the ledger delta reaches the
+// epoch budget. It returns the elapsed time and the updated running
+// region length.
 //
 // The budget comparison Total()-LedStart >= Budget is evaluated with that
-// exact expression whenever it can matter; on pure-compute stretches it is
-// skipped under a Compute watermark (see the engine's runEpoch for the
-// monotonicity argument), which cannot change the outcome. The caller must
-// not invoke RunEpoch on a halted core or with a pending backup request.
+// exact expression whenever it can matter. On pure-compute stretches it is
+// skipped while Compute stays below a watermark cSafe, which cannot change
+// the outcome: Total() is monotone non-decreasing in Compute with the
+// other ledger fields held fixed (IEEE round-to-nearest addition is
+// monotone in each operand, and the fold composes monotone steps), and the
+// other fields change only when an instruction enters the memory system.
+// The watermark is re-armed at half the remaining slack, which dwarfs the
+// rounding drift between the incremental Compute adds and a fresh fold
+// (~1e-15 relative), so the budget cannot be crossed below it. The caller
+// must not invoke RunEpoch on a halted core or with a pending backup
+// request.
 //
-// The dispatch switch must stay in lockstep with StepFast; the
+// The dispatch switch must stay in step with StepFast; the
 // traced-versus-untraced matrix test in internal/sim pins the equivalence.
 func (c *CPU) RunEpoch(now int64, ms MemSystem, t StepTiming, ec *EpochControl) (elapsed int64, ri int) {
 	pc := c.PC

@@ -53,7 +53,7 @@ func run(t *testing.T, l *ir.Linked, m MemSystem) *CPU {
 	t.Helper()
 	c := New(l.Code, int64(l.EntryPC))
 	for i := 0; i < 100000 && !c.Halted; i++ {
-		c.Step(0, m, timing)
+		c.StepFast(0, m, timing)
 	}
 	if !c.Halted {
 		t.Fatal("program did not halt")
@@ -162,7 +162,8 @@ func TestLatencies(t *testing.T) {
 	m := newFlatMem()
 	var total int64
 	for !c.Halted {
-		total += c.Step(0, m, timing).Ns
+		ns, _ := c.StepFast(0, m, timing)
+		total += ns
 	}
 	// movi 2 + mul 6 + div 24 + halt 2 = 34.
 	if total != 34 {
@@ -213,12 +214,12 @@ func TestHaltStopsStepping(t *testing.T) {
 	l, _ := ir.Link(p)
 	c := New(l.Code, int64(l.EntryPC))
 	m := newFlatMem()
-	c.Step(0, m, timing)
+	c.StepFast(0, m, timing)
 	if !c.Halted {
 		t.Fatal("not halted")
 	}
 	before := c.Counts.Executed
-	if cost := c.Step(0, m, timing); cost.Ns != 0 || c.Counts.Executed != before {
+	if ns, _ := c.StepFast(0, m, timing); ns != 0 || c.Counts.Executed != before {
 		t.Error("step after halt had effects")
 	}
 }

@@ -1,10 +1,9 @@
 package cpu
 
-// Lockstep equivalence for the predecoded interpreter entry points: a
-// core built from raw code (New, which predecodes itself) and a core
-// reusing the linker's decode table (NewLinked) must retire the same
-// instructions with the same costs, and Step must be a thin wrapper over
-// StepFast.
+// Equivalence for the predecoded interpreter entry points: a core built
+// from raw code (New, which predecodes itself) and a core reusing the
+// linker's decode table (NewLinked) must retire the same instructions
+// with the same costs.
 
 import (
 	"testing"
@@ -27,7 +26,7 @@ func TestNewLinkedMatchesNew(t *testing.T) {
 	ma := newFlatMem()
 	mb := newFlatMem()
 	for step := 0; step < 5_000_000 && !a.Halted; step++ {
-		nsA := a.Step(0, ma, timing).Ns
+		nsA, _ := a.StepFast(0, ma, timing)
 		nsB, cl := b.StepFast(0, mb, timing)
 		if nsA != nsB || a.PC != b.PC {
 			t.Fatalf("step %d: (ns=%d, pc=%d) vs (ns=%d, pc=%d, class=%d)",

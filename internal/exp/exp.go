@@ -44,9 +44,6 @@ type Context struct {
 	// Seeds is the Monte-Carlo sample count for SeedSweep: timelines
 	// Seed..Seed+Seeds-1 run per cell. Values below 1 mean 1.
 	Seeds int
-	// BatchWidth is the lockstep lane count SeedSweep batches seeds with;
-	// values below 1 select the default width 8.
-	BatchWidth int
 	// Only, when non-nil, further restricts the sweep to these workload
 	// names. Names that match nothing are simply absent; an empty
 	// resulting set fails validation in runMatrix.

@@ -1,11 +1,9 @@
 // Monte-Carlo seed sweep: the same (workload, scheme) matrix as the
 // speedup figures, but across many power-trace seeds per cell, so each
 // speedup is reported as a mean with a 95% confidence interval instead of
-// a single-timeline point estimate. Within one cell the seeds run on the
-// lockstep batched engine (sim.RunBatch) — decode and instruction
-// semantics are paid once per instruction for the whole seed batch — and
-// cells run in parallel across workers, so a sweep costs a small multiple
-// of the single-seed matrix rather than seeds× it.
+// a single-timeline point estimate. Within one cell the seeds run one
+// after another through sim.RunBatch, and cells run in parallel across
+// workers.
 package exp
 
 import (
@@ -17,7 +15,6 @@ import (
 	"sync"
 
 	"repro/internal/arch"
-	"repro/internal/compiler"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/journal"
@@ -43,7 +40,6 @@ type SweepCell struct {
 type SweepResult struct {
 	Profile trace.Profile
 	Seeds   int
-	Batch   int
 	Kinds   []arch.Kind
 	Names   []string
 	Cells   map[cell]SweepCell
@@ -55,7 +51,7 @@ func (r *SweepResult) Get(name string, k arch.Kind) SweepCell {
 }
 
 // sweepJob is one (workload, scheme) column of the sweep: all seeds of
-// one cell, batched.
+// one cell.
 type sweepJob struct {
 	w matrixJob
 	// results[i] is seed c.Seed+i's run; errs[i] its failure, if any.
@@ -65,9 +61,8 @@ type sweepJob struct {
 
 // SeedSweep runs every workload on NVP plus the requested kinds under
 // `c.Seeds` power-trace seeds of the profile (seeds c.Seed through
-// c.Seed+c.Seeds-1), batching each cell's seeds on the lockstep engine
-// with lane count `c.BatchWidth`, and aggregates per-seed speedups over
-// NVP into mean ± 95% CI per cell.
+// c.Seed+c.Seeds-1), running each cell's seeds as one sim.RunBatch call,
+// and aggregates per-seed speedups over NVP into mean ± 95% CI per cell.
 //
 // The resilience contract matches runMatrix, at per-seed granularity:
 // each failed seed is reported as its own *CellError carrying the exact
@@ -75,8 +70,8 @@ type sweepJob struct {
 // results stand, and with a journal attached every completed seed is
 // durable under the same content-hash identity the scalar matrix uses —
 // a sweep interrupted and rerun resumes seed by seed, and a seed proven
-// by a scalar run is never re-simulated (the batched engine is bit-exact
-// against the scalar one, so the journals are interchangeable).
+// by a scalar run is never re-simulated (each lane is a scalar run, so
+// the journals are interchangeable).
 func (c *Context) SeedSweep(profile trace.Profile, kinds []arch.Kind) (*SweepResult, error) {
 	p := c.Params
 	if err := p.Validate(); err != nil {
@@ -85,10 +80,6 @@ func (c *Context) SeedSweep(profile trace.Profile, kinds []arch.Kind) (*SweepRes
 	seeds := c.Seeds
 	if seeds <= 0 {
 		seeds = 1
-	}
-	width := c.BatchWidth
-	if width <= 0 {
-		width = 8
 	}
 	wl := c.Workloads()
 	if len(wl) == 0 {
@@ -114,9 +105,7 @@ func (c *Context) SeedSweep(profile trace.Profile, kinds []arch.Kind) (*SweepRes
 	pname := profile.String()
 	fp := p.Fingerprint()
 
-	// One worker per CPU, one job per (workload, scheme) cell: the batch
-	// engine amortizes across seeds inside a job, the pool amortizes
-	// across cells.
+	// One worker per CPU, one job per (workload, scheme) cell.
 	workers := runtime.NumCPU()
 	if workers > len(jobs) {
 		workers = len(jobs)
@@ -128,7 +117,7 @@ func (c *Context) SeedSweep(profile trace.Profile, kinds []arch.Kind) (*SweepRes
 		go func() {
 			defer wg.Done()
 			for j := range jobCh {
-				c.sweepCell(ctx, j, p, profile, pname, fp, seeds, width)
+				c.sweepCell(ctx, j, p, profile, pname, fp, seeds)
 			}
 		}()
 	}
@@ -191,7 +180,7 @@ feed:
 		return nil, err
 	}
 
-	res := &SweepResult{Profile: profile, Seeds: seeds, Batch: width,
+	res := &SweepResult{Profile: profile, Seeds: seeds,
 		Kinds: allKinds[1:], Cells: map[cell]SweepCell{}}
 	byJob := map[cell]*sweepJob{}
 	for _, j := range jobs {
@@ -212,8 +201,8 @@ feed:
 		}
 	}
 
-	c.printf("seed sweep under %s — speedups over NVP, mean ±95%% CI over %d seeds (batch width %d)\n",
-		pname, seeds, width)
+	c.printf("seed sweep under %s — speedups over NVP, mean ±95%% CI over %d seeds\n",
+		pname, seeds)
 	c.printf("%-13s", "benchmark")
 	for _, k := range res.Kinds {
 		c.printf(" %16v", k)
@@ -248,12 +237,23 @@ func (c *Context) sweepErr(j matrixJob, pname, fp string, off int64, cause error
 }
 
 // sweepCell runs all seeds of one (workload, scheme) cell: journal-proven
-// seeds are reconstructed, the rest run on the batched engine in chunks
-// of the batch width. A panic anywhere in the cell fails the not-yet-
-// finished seeds of the in-flight chunk, not the whole sweep.
-func (c *Context) sweepCell(ctx context.Context, j *sweepJob, p config.Params, profile trace.Profile, pname, fp string, seeds, width int) {
+// seeds are reconstructed, the rest run in one sim.RunBatch call. A
+// panic anywhere in the cell fails its not-yet-finished seeds, with the
+// recovered stack attached, while the rest of the sweep proceeds.
+func (c *Context) sweepCell(ctx context.Context, j *sweepJob, p config.Params, profile trace.Profile, pname, fp string, seeds int) {
 	j.results = make([]*sim.Result, seeds)
 	j.errs = make([]error, seeds)
+	defer func() {
+		if v := recover(); v != nil {
+			cause := fmt.Errorf("worker panic: %v", v)
+			stack := debug.Stack()
+			for i := range j.results {
+				if j.results[i] == nil && j.errs[i] == nil {
+					j.errs[i] = c.sweepErr(j.w, pname, fp, int64(i), cause, stack)
+				}
+			}
+		}
+	}()
 
 	cellAt := func(off int) journal.Cell {
 		id := c.cellID(j.w, pname, fp)
@@ -274,51 +274,20 @@ func (c *Context) sweepCell(ctx context.Context, j *sweepJob, p config.Params, p
 	if len(pending) == 0 {
 		return
 	}
-
-	cres, err := core.SharedCompileCache().Get(core.KeyFor(j.w.w.Name, c.Scale, j.w.k, p), c.builder(j.w.w), j.w.k, p)
-	if err != nil {
+	fail := func(err error) {
 		for _, i := range pending {
 			j.errs[i] = c.sweepErr(j.w, pname, fp, int64(i), err, nil)
 		}
+	}
+
+	cres, err := core.SharedCompileCache().Get(core.KeyFor(j.w.w.Name, c.Scale, j.w.k, p), c.builder(j.w.w), j.w.k, p)
+	if err != nil {
+		fail(err)
 		return
 	}
-
-	for len(pending) > 0 {
-		chunk := pending
-		if len(chunk) > width {
-			chunk = chunk[:width]
-		}
-		pending = pending[len(chunk):]
-		if err := ctx.Err(); err != nil {
-			for _, i := range chunk {
-				j.errs[i] = c.sweepErr(j.w, pname, fp, int64(i), err, nil)
-			}
-			continue
-		}
-		c.sweepChunk(ctx, j, cres, p, profile, pname, fp, chunk, cellAt)
-	}
-}
-
-// sweepChunk simulates one batch of seeds inside a panic-isolation
-// boundary, mirroring runCell: a panicking chunk fails its own seeds,
-// with the recovered stack attached, while the rest of the cell (and the
-// sweep) proceeds.
-func (c *Context) sweepChunk(ctx context.Context, j *sweepJob, cres *compiler.Result, p config.Params, profile trace.Profile, pname, fp string, chunk []int, cellAt func(int) journal.Cell) {
-	defer func() {
-		if v := recover(); v != nil {
-			cause := fmt.Errorf("worker panic: %v", v)
-			stack := debug.Stack()
-			for _, i := range chunk {
-				if j.results[i] == nil && j.errs[i] == nil {
-					j.errs[i] = c.sweepErr(j.w, pname, fp, int64(i), cause, stack)
-				}
-			}
-		}
-	}()
-
-	schemes := make([]arch.Scheme, len(chunk))
-	opt := sim.BatchOptions{Sources: make([]trace.Source, len(chunk))}
-	for li, i := range chunk {
+	schemes := make([]arch.Scheme, len(pending))
+	opt := sim.BatchOptions{Sources: make([]trace.Source, len(pending))}
+	for li, i := range pending {
 		schemes[li] = arch.New(j.w.k, p)
 		opt.Sources[li] = trace.NewShared(profile, c.Seed+int64(i))
 	}
@@ -327,12 +296,10 @@ func (c *Context) sweepChunk(ctx context.Context, j *sweepJob, cres *compiler.Re
 	}
 	results, errs, err := sim.RunBatch(cres.Linked, schemes, opt)
 	if err != nil {
-		for _, i := range chunk {
-			j.errs[i] = c.sweepErr(j.w, pname, fp, int64(i), err, nil)
-		}
+		fail(err)
 		return
 	}
-	for li, i := range chunk {
+	for li, i := range pending {
 		if errs[li] != nil {
 			j.errs[i] = c.sweepErr(j.w, pname, fp, int64(i), errs[li], nil)
 			continue

@@ -1,12 +1,9 @@
 package sim_test
 
-// Differential proof for the lockstep batch engine: every lane of a
-// RunBatch must be byte-identical to a scalar Run with the same seed —
-// same Result, same NVM image — across the full scheme matrix under the
-// RF-Home harvested trace. The batch engine shares decode/dispatch and
-// register semantics across lanes, so any divergence (an epoch folded
-// one instruction late, a replay rejoined one slot early) surfaces here
-// as a field diff against the scalar reference.
+// RunBatch runs one cell's seeds lane by lane through Run: each lane must
+// be byte-identical to a scalar Run with the same seed — same Result,
+// same NVM image — and the batch-level validation, lane error isolation
+// and cancellation contracts must hold.
 
 import (
 	"context"
@@ -16,21 +13,11 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
-
-func compileFor(t testing.TB, w workloads.Workload, k arch.Kind, p config.Params) *ir.Linked {
-	t.Helper()
-	cres, err := core.Compile(func() *ir.Program { return w.Build(1) }, k, p)
-	if err != nil {
-		t.Fatalf("compile %s for %v: %v", w.Name, k, err)
-	}
-	return cres.Linked
-}
 
 // runScalarSeed runs the scalar engine on one RF-Home seed.
 func runScalarSeed(t testing.TB, l *ir.Linked, k arch.Kind, p config.Params, seed int64) *sim.Result {
@@ -82,6 +69,9 @@ func batchCell(t *testing.T, w workloads.Workload, k arch.Kind, width int) {
 	}
 }
 
+// TestRunBatchMatchesScalar pins RunBatch lane == Run at width 8 across
+// the full quick-set scheme matrix under RF-Home: lane i must run scheme
+// i on source i and land in slot i.
 func TestRunBatchMatchesScalar(t *testing.T) {
 	ws := quickWorkloads(t)
 	if testing.Short() {
@@ -107,8 +97,7 @@ func TestRunBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestRunBatchWidths covers the scalar fallback (width 1) and odd
-// widths whose lane sets exercise partial divergence.
+// TestRunBatchWidths pins RunBatch lane == Run at widths 1, 2 and 3.
 func TestRunBatchWidths(t *testing.T) {
 	for _, width := range []int{1, 2, 3} {
 		width := width

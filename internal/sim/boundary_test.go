@@ -13,16 +13,23 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/config"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
-// runBoth executes the same configuration under the batched and precise
-// engines and fails the test on any observable divergence.
+// reference selects the per-instruction reference engine: a traced run
+// steps it, and a discard sink keeps the trace out of the way.
+func reference() *telemetry.Tracer {
+	return telemetry.NewTracer(telemetry.DiscardSink{}, 0)
+}
+
+// runBoth executes the same configuration under the batched and
+// reference engines and fails the test on any observable divergence.
 func runBoth(t *testing.T, name string, kind arch.Kind, p config.Params, src func() trace.Source) (*Result, *Result) {
 	t.Helper()
 	l := compiled(t, name, kind)
 	fast, errF := Run(l, arch.New(kind, p), Options{Source: src()})
-	ref, errP := Run(compiled(t, name, kind), arch.New(kind, p), Options{Source: src(), Precise: true})
+	ref, errP := Run(compiled(t, name, kind), arch.New(kind, p), Options{Source: src(), Tracer: reference()})
 	if (errF == nil) != (errP == nil) {
 		t.Fatalf("engines disagree on error: batched=%v precise=%v", errF, errP)
 	}
@@ -85,10 +92,11 @@ func TestZeroProgressGuard(t *testing.T) {
 	p.SweepVmin = 3.4 // above SweepCache's 3.3 restore threshold
 	l := compiled(t, "sha", arch.SweepEmptyBit)
 	for _, precise := range []bool{false, true} {
-		_, err := Run(l, arch.New(arch.SweepEmptyBit, p), Options{
-			Source:  &trace.Constant{P: 0.5e-3},
-			Precise: precise,
-		})
+		opt := Options{Source: &trace.Constant{P: 0.5e-3}}
+		if precise {
+			opt.Tracer = reference()
+		}
+		_, err := Run(l, arch.New(arch.SweepEmptyBit, p), opt)
 		if err == nil || !strings.Contains(err.Error(), "no forward progress") {
 			t.Errorf("precise=%v: err = %v, want forward-progress guard", precise, err)
 			continue

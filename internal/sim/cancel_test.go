@@ -1,8 +1,8 @@
 package sim
 
 // Cancellation coverage: a context attached via Options.Ctx must stop
-// every engine — batched, precise, and the outage-free fused loop — at an
-// epoch boundary, returning a typed *CanceledError that wraps ctx.Err(),
+// every engine — batched, precise (the traced reference engine), and the
+// outage-free fused loop — at an epoch boundary, returning a typed *CanceledError that wraps ctx.Err(),
 // without perturbing uncancelled runs (the golden digests pin that).
 
 import (
@@ -39,7 +39,7 @@ func TestCancelPreemptsRun(t *testing.T) {
 		opt  func() Options
 	}{
 		{"batched", func() Options { return Options{Source: trace.New(trace.RFHome, 1), Ctx: ctx} }},
-		{"precise", func() Options { return Options{Source: trace.New(trace.RFHome, 1), Precise: true, Ctx: ctx} }},
+		{"precise", func() Options { return Options{Source: trace.New(trace.RFHome, 1), Tracer: reference(), Ctx: ctx} }},
 		{"outage-free", func() Options { return Options{Ctx: ctx} }},
 	}
 	for _, tc := range cases {
@@ -71,11 +71,11 @@ func TestCancelMidRun(t *testing.T) {
 			// Survive a few polls, then cancel: the run must be genuinely
 			// under way (instructions retired) when the abort lands.
 			ctx := &errAfter{Context: context.Background(), remaining: 3}
-			_, err := Run(l, arch.New(arch.SweepEmptyBit, config.Default()), Options{
-				Source:  trace.New(trace.RFHome, 1),
-				Precise: precise,
-				Ctx:     ctx,
-			})
+			opt := Options{Source: trace.New(trace.RFHome, 1), Ctx: ctx}
+			if precise {
+				opt.Tracer = reference()
+			}
+			_, err := Run(l, arch.New(arch.SweepEmptyBit, config.Default()), opt)
 			var ce *CanceledError
 			if !errors.As(err, &ce) {
 				t.Fatalf("err = %v, want *CanceledError", err)

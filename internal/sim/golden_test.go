@@ -85,8 +85,10 @@ func goldenDigest(res *sim.Result, traceBytes []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestFastPathGolden runs the default (batched) engine over the full quick
-// matrix and compares each run's digest against the pre-fast-path capture.
+// TestFastPathGolden runs the traced (reference) engine over the full
+// quick matrix and compares each run's digest against the pre-fast-path
+// capture; TestUntracedMatchesTraced carries the proof to the untraced
+// fused loops.
 func TestFastPathGolden(t *testing.T) {
 	update := os.Getenv("UPDATE_GOLDEN") != ""
 
@@ -115,7 +117,7 @@ func TestFastPathGolden(t *testing.T) {
 				key := w.Name + "/" + k.String() + "/" + pname
 				t.Run(key, func(t *testing.T) {
 					t.Parallel()
-					res, traceBytes := runEngine(t, w, k, profile, false)
+					res, traceBytes := runEngine(t, w, k, profile)
 					d := goldenDigest(res, traceBytes)
 					mu.Lock()
 					got[key] = d

@@ -58,16 +58,14 @@ type Options struct {
 	// RegionHistMax bounds the region-size histogram. 0 means 256.
 	RegionHistMax int
 	// Tracer receives the run's telemetry events; nil (the default)
-	// disables tracing at the cost of one branch per emit site.
+	// disables tracing. A traced run steps the per-instruction reference
+	// engine, which settles the capacitor after every retired
+	// instruction; an untraced run takes the fused loops, which batch
+	// settlements over epochs sized so that no voltage trigger can fire
+	// inside one. TestUntracedMatchesTraced proves the two produce
+	// byte-identical results; a traced run is about 2x slower. See
+	// docs/PERFORMANCE.md.
 	Tracer *telemetry.Tracer
-	// Precise forces the reference engine: capacitor settlement (ledger
-	// sum, harvest integration, draw) after every retired instruction.
-	// The default engine batches settlements over epochs sized so that
-	// no voltage trigger can fire inside one, falling back to precise
-	// stepping near the thresholds; TestBatchedMatchesPrecise proves the
-	// two produce byte-identical results and telemetry. Precise remains
-	// for differential testing and debugging. See docs/PERFORMANCE.md.
-	Precise bool
 }
 
 // Result is everything measured during a run.
@@ -278,8 +276,8 @@ func (e *CanceledError) Error() string {
 
 func (e *CanceledError) Unwrap() error { return e.Err }
 
-// cancelPollInterval is how many engine-loop iterations (epochs, precise
-// steps, or traced instructions) elapse between context polls. The poll is
+// cancelPollInterval is how many engine-loop iterations (epochs or
+// precise steps) elapse between context polls. The poll is
 // a single counter decrement on the common path, so cancellation support
 // costs nothing measurable; the interval bounds cancellation latency to a
 // few thousand instructions of simulated work.
@@ -309,7 +307,7 @@ type imageRun struct {
 
 // imageCache memoizes the coalesced NVM image per linked program: the
 // image is a pure function of the Linked (data inits plus the recovery PC
-// slot), and a batch or sweep boots the same program many times, so each
+// slot), and a seed sweep boots the same program many times, so each
 // boot after the first is a handful of bulk copies instead of a poke per
 // word. The map holds strong references, which also guarantees a cached
 // pointer key cannot be recycled for a different program; the reset cap
@@ -353,7 +351,7 @@ func linkedImage(l *ir.Linked) []imageRun {
 
 // eTableCache shares the tabulated per-latency instruction energies across
 // runners: the table is a pure function of (EInstr, PRun) and read-only
-// after construction, so every lane of a batch uses one copy.
+// after construction, so every run of a configuration uses one copy.
 var eTableCache struct {
 	sync.Mutex
 	m map[[2]float64][]float64
@@ -391,9 +389,9 @@ const epochMaxInstrNs = 16_384
 const minEpochInstrs = 64
 
 // quantV quantizes a reported voltage to 1 µV. Telemetry voltage fields
-// exist for humans and plots; quantizing them makes the JSONL stream
-// insensitive to ULP-level differences in capacitor state between the
-// batched and precise engines, keeping their traces byte-identical.
+// exist for humans and plots; quantizing them keeps the JSONL stream (and
+// the golden digests taken over it) insensitive to ULP-level differences
+// in capacitor state.
 func quantV(v float64) float64 { return math.Round(v*1e6) / 1e6 }
 
 // runner is one simulation run's mutable state, shared by the three
@@ -420,10 +418,6 @@ type runner struct {
 	// runs); run-constant fields are filled once by runBatched, the
 	// per-epoch fields by runEpoch.
 	ec cpu.EpochControl
-	// fetchFree mirrors the core's fetch elision: when set, pure-compute
-	// instructions provably never enter the memory system, so scheme
-	// queries (NeedsBackup) hold across them.
-	fetchFree bool
 
 	// eInstrByNs tabulates EInstr + PRun*ns*1e-9 per instruction latency,
 	// pre-filled by Run for every ns below the table length (latencies
@@ -470,9 +464,8 @@ func (r *runner) checkCancel() error {
 }
 
 // newRunner validates opt, boots the scheme, and builds one run's mutable
-// state — the shared construction path of Run and RunBatch. It leaves the
-// pre-canceled-context check to the caller (Run wants the Result back even
-// then).
+// state. It leaves the pre-canceled-context check to the caller (Run wants
+// the Result back even then).
 func newRunner(l *ir.Linked, s arch.Scheme, opt Options) (*runner, error) {
 	p := s.Params()
 	if err := p.Validate(); err != nil {
@@ -496,27 +489,24 @@ func newRunner(l *ir.Linked, s arch.Scheme, opt Options) (*runner, error) {
 	InitNVM(s, l)
 	s.SetTracer(opt.Tracer)
 	core := cpu.NewLinked(l)
-	fetchFree := false
 	if ff, ok := s.(cpu.FreeFetcher); ok && ff.FetchIsFree() {
 		core.SetFetchFree(true)
-		fetchFree = true
 	}
 	s.Boot(int64(l.EntryPC))
 
 	r := &runner{
-		l:         l,
-		s:         s,
-		ms:        s,
-		opt:       opt,
-		p:         p,
-		core:      core,
-		led:       s.Ledger(),
-		cap:       energy.NewCapacitor(p.CapacitorF, p.Vmax, p.Vmax),
-		tr:        opt.Tracer,
-		res:       &Result{Scheme: s.Name(), RegionSizes: stats.NewHist(opt.RegionHistMax)},
-		timing:    cpu.StepTiming{CycleNs: p.CycleNs, MulCycles: p.MulCycles, DivCycles: p.DivCycles},
-		armed:     true,
-		fetchFree: fetchFree,
+		l:      l,
+		s:      s,
+		ms:     s,
+		opt:    opt,
+		p:      p,
+		core:   core,
+		led:    s.Ledger(),
+		cap:    energy.NewCapacitor(p.CapacitorF, p.Vmax, p.Vmax),
+		tr:     opt.Tracer,
+		res:    &Result{Scheme: s.Name(), RegionSizes: stats.NewHist(opt.RegionHistMax)},
+		timing: cpu.StepTiming{CycleNs: p.CycleNs, MulCycles: p.MulCycles, DivCycles: p.DivCycles},
+		armed:  true,
 
 		eInstrByNs: eInstrTable(p.EInstr, p.PRun),
 	}
@@ -530,7 +520,9 @@ func newRunner(l *ir.Linked, s arch.Scheme, opt Options) (*runner, error) {
 	return r, nil
 }
 
-// Run executes the linked program on the scheme until it halts.
+// Run executes the linked program on the scheme until it halts. A traced
+// run steps the reference engine; an untraced one takes the fused loop
+// for its supply regime.
 func Run(l *ir.Linked, s arch.Scheme, opt Options) (*Result, error) {
 	r, err := newRunner(l, s, opt)
 	if err != nil {
@@ -541,7 +533,7 @@ func Run(l *ir.Linked, s arch.Scheme, opt Options) (*Result, error) {
 		return r.res, err
 	}
 	switch {
-	case opt.Precise:
+	case r.tr != nil:
 		err = r.runPrecise()
 	case r.cursor == nil:
 		err = r.runOutageFree()
@@ -689,31 +681,6 @@ func (r *runner) preInstrEvents() (handled bool, err error) {
 	return false, nil
 }
 
-// boundaryEventCheck is preInstrEvents' decision procedure without the
-// event bodies: it reports whether a state-mutating event (structural
-// backup, voltage-triggered JIT backup, brown-out) is due, using exactly
-// the same comparisons in the same order. When none is, it applies the
-// re-arm transition — the one action that touches no core state — so a
-// false return means a full preInstrEvents call would have returned
-// (false, nil) and left the lane's core untouched. The batch engine uses
-// this to reopen epochs without materializing a lane's core view.
-func (r *runner) boundaryEventCheck(jit bool) (pending bool) {
-	if jit && r.s.NeedsBackup() {
-		return true
-	}
-	v := r.cap.V()
-	if jit && r.armed && v <= r.p.VBackup {
-		return true
-	}
-	if v < r.p.Vmin {
-		return true
-	}
-	if jit && !r.armed && v > r.p.VBackup+0.02 {
-		r.armed = true
-	}
-	return false
-}
-
 // preStepEmit reports compiler-inserted checkpoint activity. Callers only
 // invoke it when a tracer is attached, keeping the per-instruction switch
 // off the disabled hot path.
@@ -757,8 +724,9 @@ func (r *runner) stepPrecise() {
 	r.noteRegion(cl)
 }
 
-// runPrecise is the reference engine: power events checked and capacitor
-// settled before/after every instruction.
+// runPrecise is the reference engine and the traced path: power events
+// checked and capacitor settled before/after every instruction, with
+// checkpoint activity reported to the tracer as it retires.
 func (r *runner) runPrecise() error {
 	for !r.core.Halted {
 		if r.core.Counts.Executed >= r.opt.MaxInstructions {
@@ -792,75 +760,49 @@ func (r *runner) instrEnergy(ns int64) float64 {
 	return r.p.EInstr + r.p.PRun*float64(ns)*1e-9
 }
 
-// runOutageFree is the ideal-supply engine (the Figure 5 configuration).
-// With no power trace the capacitor can never cross a threshold and
-// nothing observable ever reads it, so the loop carries no capacitor work
-// at all. The ledger — which IS observable — is maintained with exactly
-// the precise path's per-instruction arithmetic, so results stay
-// byte-identical with Options.Precise.
+// runOutageFree is the untraced ideal-supply engine (the Figure 5
+// configuration). With no power trace the capacitor can never cross a
+// threshold and nothing observable ever reads it, so the loop carries no
+// capacitor work at all. The fused interpreter loop retires whole regions
+// per call and maintains the ledger — which IS observable — with exactly
+// the reference engine's per-instruction arithmetic, so results stay
+// byte-identical with a traced run (TestUntracedMatchesTraced).
 func (r *runner) runOutageFree() error {
-	core, led, tr := r.core, r.led, r.tr
+	core, led := r.core, r.led
 	ms, timing := r.ms, r.timing
 	max := r.opt.MaxInstructions
 	hist := r.res.RegionSizes
 	// Loop state lives in plain locals (no closure captures them, so they
 	// stay in registers across the interpreter call); synced back on loop
-	// exit, and before any emit, which reads r.now.
+	// exit.
 	now, runNs, ri := r.now, r.res.RunNs, r.regionInstrs
-	if tr == nil {
-		// No tracer: the fused interpreter loop retires whole regions per
-		// call, with the identical per-instruction ledger arithmetic (the
-		// traced-versus-untraced matrix test pins the equivalence). With a
-		// context attached, each call is additionally capped at
-		// cancelChunkInstrs so delimiter-free binaries still observe
-		// cancellation; the chunk boundary only changes where the outer
-		// loop re-enters, never any retired state.
-		for !core.Halted {
-			lim := max
-			if r.ctx != nil {
-				if c := core.Counts.Executed + cancelChunkInstrs; c < lim {
-					lim = c
-				}
-				if err := r.checkCancel(); err != nil {
-					r.now, r.res.RunNs, r.regionInstrs = now, runNs, ri
-					return err
-				}
+	// With a context attached, each call is additionally capped at
+	// cancelChunkInstrs so delimiter-free binaries still observe
+	// cancellation; the chunk boundary only changes where the outer loop
+	// re-enters, never any retired state.
+	for !core.Halted {
+		lim := max
+		if r.ctx != nil {
+			if c := core.Counts.Executed + cancelChunkInstrs; c < lim {
+				lim = c
 			}
-			ns, n, delim := core.RunUntraced(now, ms, timing,
-				r.eInstrByNs, r.p.EInstr, r.p.PRun, &led.Compute, lim)
-			now += ns
-			runNs += ns
-			if delim {
-				hist.Add(ri + n - 1)
-				ri = 0
-				continue
-			}
-			ri += n
-			if !core.Halted && core.Counts.Executed >= max {
-				break // instruction budget
-			}
-		}
-	} else {
-		for !core.Halted {
-			if core.Counts.Executed >= max {
-				break
-			}
-			if err := r.pollCancel(); err != nil {
+			if err := r.checkCancel(); err != nil {
 				r.now, r.res.RunNs, r.regionInstrs = now, runNs, ri
 				return err
 			}
-			r.now = now
-			r.preStepEmit()
-			ns, cl := core.StepFast(now, ms, timing)
-			led.Compute += r.instrEnergy(ns)
-			now += ns
-			runNs += ns
-			if cl == isa.ClassRegionEnd || cl == isa.ClassFence {
-				hist.Add(ri)
-				ri = 0
-			} else {
-				ri++
-			}
+		}
+		ns, n, delim := core.RunUntraced(now, ms, timing,
+			r.eInstrByNs, r.p.EInstr, r.p.PRun, &led.Compute, lim)
+		now += ns
+		runNs += ns
+		if delim {
+			hist.Add(ri + n - 1)
+			ri = 0
+			continue
+		}
+		ri += n
+		if !core.Halted && core.Counts.Executed >= max {
+			break // instruction budget
 		}
 	}
 	r.now, r.res.RunNs, r.regionInstrs = now, runNs, ri
@@ -924,134 +866,50 @@ func (r *runner) epochBudget(jit bool) float64 {
 	return budget
 }
 
-// runEpoch retires instructions under one deferred capacitor settlement.
-// The epoch closes when the ledger delta reaches the budget, when the
-// next instruction might not fit in the current power-trace segment, on
-// a structural backup request, on halt, or at the instruction budget.
+// runEpoch retires instructions under one deferred capacitor settlement:
+// one fused interpreter call (cpu.RunEpoch) retires the whole epoch. The
+// epoch closes when the ledger delta reaches the budget, when the next
+// instruction might not fit in the current power-trace segment, on a
+// structural backup request, on halt, or at the instruction budget. A
+// backup request pending at entry ends the epoch before any instruction
+// retires.
 func (r *runner) runEpoch(jit bool, budget float64) {
-	core, led, tr, s := r.core, r.led, r.tr, r.s
-	ms, timing := r.ms, r.timing
-	ledStart := led.Total()
-	segRem := r.cursor.SegmentRemaining()
-	if tr == nil {
-		// No tracer: one fused interpreter call retires the whole epoch
-		// (the traced-versus-untraced matrix test pins the equivalence).
-		// The initial backup check mirrors the per-step loop's first
-		// iteration: a pending request ends the epoch before any
-		// instruction retires.
-		var epochNs int64
-		if !(jit && s.NeedsBackup()) {
-			ec := &r.ec
-			ec.LedStart, ec.Budget, ec.SegRem = ledStart, budget, segRem
-			ec.RegionInstrs = r.regionInstrs
-			elapsed, ri := core.RunEpoch(r.now, ms, timing, ec)
-			r.now += elapsed
-			r.res.RunNs += elapsed
-			r.regionInstrs = ri
-			epochNs = elapsed
-		}
-		r.cap.Draw(led.Total() - ledStart)
-		r.cap.Add(r.cursor.Harvest(epochNs))
-		return
-	}
-	max := r.opt.MaxInstructions
-	hist := r.res.RegionSizes
-	now, runNs, ri := r.now, r.res.RunNs, r.regionInstrs
+	ledStart := r.led.Total()
 	var epochNs int64
-	// NeedsBackup is an interface call per iteration, but scheme state
-	// only changes across instructions that enter the memory system, so
-	// the answer is re-queried only after those (or after every
-	// instruction when fetches are charged — a fetch enters the scheme
-	// too). Branch outcomes are identical to querying every iteration.
-	needBk := jit && s.NeedsBackup()
-	// cSafe is a Compute watermark below which the budget comparison is
-	// provably still false, so the exact ledger fold can be skipped on
-	// pure-compute instructions. Soundness: Total() is monotone
-	// non-decreasing in Compute with the other fields held fixed (IEEE
-	// round-to-nearest addition is monotone in each operand, and the fold
-	// composes monotone steps), and the other fields can change only when
-	// an instruction enters the memory system. Starting at Compute forces
-	// an exact evaluation on the first instruction (energies are
-	// non-negative). Whenever the budget comparison matters it is
-	// evaluated with the exact original expression, so the epoch boundary
-	// — and every downstream bit — is unchanged.
-	cSafe := led.Compute
-	for {
-		if needBk {
-			break
-		}
-		if core.Counts.Executed >= max {
-			break
-		}
-		if tr != nil {
-			r.now = now
-			r.preStepEmit()
-		}
-		ns, cl := core.StepFast(now, ms, timing)
-		led.Compute += r.instrEnergy(ns)
-		now += ns
-		runNs += ns
-		epochNs += ns
-		memTouch := !r.fetchFree || cl.TouchesMemSystem()
-		if jit && memTouch {
-			needBk = s.NeedsBackup()
-		}
-		if cl == isa.ClassRegionEnd || cl == isa.ClassFence {
-			hist.Add(ri)
-			ri = 0
-		} else {
-			ri++
-		}
-		if core.Halted || ns >= epochMaxInstrNs ||
-			epochNs+epochMaxInstrNs >= segRem {
-			break
-		}
-		if memTouch || led.Compute >= cSafe {
-			t := led.Total()
-			if t-ledStart >= budget {
-				break
-			}
-			// Re-arm the watermark at half the remaining slack: the
-			// half not granted dwarfs the rounding drift between the
-			// incremental Compute adds and the fresh fold (~1e-15
-			// relative), so crossing the budget while below cSafe is
-			// impossible. Near the epoch's end the slack collapses and
-			// the floor forces exact evaluation every instruction.
-			slack := budget - (t - ledStart)
-			if slack > (t+1)*1e-9 {
-				cSafe = led.Compute + 0.5*slack
-			} else {
-				cSafe = led.Compute
-			}
-		}
+	if !(jit && r.s.NeedsBackup()) {
+		ec := &r.ec
+		ec.LedStart, ec.Budget, ec.SegRem = ledStart, budget, r.cursor.SegmentRemaining()
+		ec.RegionInstrs = r.regionInstrs
+		elapsed, ri := r.core.RunEpoch(r.now, r.ms, r.timing, ec)
+		r.now += elapsed
+		r.res.RunNs += elapsed
+		r.regionInstrs = ri
+		epochNs = elapsed
 	}
-	r.now, r.res.RunNs, r.regionInstrs = now, runNs, ri
 	// Settle: draw first — the epoch invariant keeps the floor distant,
 	// and with the source weaker than the run draw the net flow is
 	// negative, so this order can touch neither the zero floor nor the
 	// Vmax clamp.
-	r.cap.Draw(led.Total() - ledStart)
+	r.cap.Draw(r.led.Total() - ledStart)
 	r.cap.Add(r.cursor.Harvest(epochNs))
 }
 
-// runBatched is the production engine for harvested-power runs: the
-// power protocol of runPrecise at every epoch boundary, with the
+// runBatched is the untraced engine for harvested-power runs: the power
+// protocol of runPrecise at every epoch boundary, with the
 // per-instruction capacitor work amortized across whole epochs whenever
 // the stored energy is provably far from every trigger threshold.
 func (r *runner) runBatched() error {
 	jit := r.s.JIT()
-	if r.tr == nil {
-		r.ec = cpu.EpochControl{
-			EByNs:       r.eInstrByNs,
-			EInstr:      r.p.EInstr,
-			PRun:        r.p.PRun,
-			Max:         r.opt.MaxInstructions,
-			Jit:         jit,
-			NeedsBackup: r.s.NeedsBackup,
-			Led:         r.led,
-			MaxInstrNs:  epochMaxInstrNs,
-			OnRegionEnd: r.res.RegionSizes.Add,
-		}
+	r.ec = cpu.EpochControl{
+		EByNs:       r.eInstrByNs,
+		EInstr:      r.p.EInstr,
+		PRun:        r.p.PRun,
+		Max:         r.opt.MaxInstructions,
+		Jit:         jit,
+		NeedsBackup: r.s.NeedsBackup,
+		Led:         r.led,
+		MaxInstrNs:  epochMaxInstrNs,
+		OnRegionEnd: r.res.RegionSizes.Add,
 	}
 	for !r.core.Halted {
 		if r.core.Counts.Executed >= r.opt.MaxInstructions {

@@ -1,9 +1,9 @@
 // Package store promotes the cell journal into a tiered, memoized result
 // store — the heart of simulation-as-a-service. A lookup walks two tiers:
 //
-//   - memory: a bounded LRU over *journal.Record, modeled on the shared
-//     trace-tape cache — hot cells cost a map probe, eviction simply
-//     demotes a cell back to "disk-only".
+//   - memory: a bounded LRU over *journal.Record — hot cells cost a map
+//     probe and a list splice, eviction simply demotes a cell back to
+//     "disk-only".
 //   - disk: the durable JSONL journal (internal/journal), which also
 //     gives the store its crash story: every computed cell is fsynced
 //     before the caller sees it, and a restarted store re-serves the
@@ -20,6 +20,7 @@
 package store
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -77,16 +78,27 @@ type flight struct {
 	err  error
 }
 
+// memEntry is one memory-tier record, held in the LRU list.
+type memEntry struct {
+	key string
+	rec *journal.Record
+}
+
 // Store is a tiered, deduplicating result store. Safe for concurrent use.
 type Store struct {
 	mu      sync.Mutex
-	mem     map[string]*journal.Record
-	order   []string // LRU order, least recently used first
+	mem     map[string]*list.Element // key -> element of lru (a *memEntry)
+	lru     *list.List               // most recently used at the front
 	memCap  int
 	disk    *journal.Journal // nil = memory-only
 	flights map[string]*flight
 	stats   Stats
 	reg     *telemetry.LiveRegistry // optional live counters, may be nil
+
+	// afterAppend, when non-nil, runs in a computing leader between the
+	// durable journal append and the memory insert. Tests set it to park
+	// the leader inside that window.
+	afterAppend func()
 }
 
 // New builds a store over an already-open journal (nil for memory-only).
@@ -97,7 +109,8 @@ func New(disk *journal.Journal, memCap int) *Store {
 		memCap = DefaultMemCap
 	}
 	return &Store{
-		mem:     make(map[string]*journal.Record),
+		mem:     make(map[string]*list.Element),
+		lru:     list.New(),
 		memCap:  memCap,
 		disk:    disk,
 		flights: make(map[string]*flight),
@@ -136,50 +149,50 @@ func (s *Store) count(name string) {
 	}
 }
 
-// touchLocked moves key to the most-recently-used end of the LRU order,
-// appending it if new.
-func (s *Store) touchLocked(key string) {
-	for i, k := range s.order {
-		if k == key {
-			copy(s.order[i:], s.order[i+1:])
-			s.order[len(s.order)-1] = key
-			return
-		}
-	}
-	s.order = append(s.order, key)
-}
-
-// insertLocked puts a record into the memory tier, evicting LRU entries
-// beyond the cap. Eviction only demotes: the record stays on disk.
+// insertLocked puts a record into the memory tier as its most recently
+// used entry, evicting the least recently used one beyond the cap.
+// Eviction only demotes: the record stays on disk.
 func (s *Store) insertLocked(key string, rec *journal.Record) {
-	s.mem[key] = rec
-	s.touchLocked(key)
-	for len(s.mem) > s.memCap {
-		victim := s.order[0]
-		s.order = s.order[1:]
-		delete(s.mem, victim)
+	if el, ok := s.mem[key]; ok {
+		el.Value.(*memEntry).rec = rec
+		s.lru.MoveToFront(el)
+		return
+	}
+	s.mem[key] = s.lru.PushFront(&memEntry{key: key, rec: rec})
+	if s.lru.Len() > s.memCap {
+		victim := s.lru.Remove(s.lru.Back()).(*memEntry)
+		delete(s.mem, victim.key)
 	}
 }
 
-// lookupLocked walks the tiers for key. On a disk hit the record is
-// promoted into the memory tier.
-func (s *Store) lookupLocked(c journal.Cell, key string) (*journal.Record, Tier, bool) {
-	if rec, ok := s.mem[key]; ok {
-		s.stats.MemHits++
-		s.count("mem_hits")
-		s.touchLocked(key)
-		return rec, TierMemory, true
+// memLocked serves key from the memory tier, marking it most recently
+// used.
+func (s *Store) memLocked(key string) (*journal.Record, bool) {
+	el, ok := s.mem[key]
+	if !ok {
+		return nil, false
 	}
-	if s.disk != nil {
-		// Lock order is always store.mu -> journal.mu, never the reverse.
-		if rec, ok := s.disk.Lookup(c); ok {
-			s.stats.DiskHits++
-			s.count("disk_hits")
-			s.insertLocked(key, rec)
-			return rec, TierDisk, true
-		}
+	s.stats.MemHits++
+	s.count("mem_hits")
+	s.lru.MoveToFront(el)
+	return el.Value.(*memEntry).rec, true
+}
+
+// diskLocked serves the cell from the disk tier, promoting the record
+// into the memory tier.
+func (s *Store) diskLocked(c journal.Cell, key string) (*journal.Record, bool) {
+	if s.disk == nil {
+		return nil, false
 	}
-	return nil, TierNone, false
+	// Lock order is always store.mu -> journal.mu, never the reverse.
+	rec, ok := s.disk.Lookup(c)
+	if !ok {
+		return nil, false
+	}
+	s.stats.DiskHits++
+	s.count("disk_hits")
+	s.insertLocked(key, rec)
+	return rec, true
 }
 
 // Lookup returns the cell's record from the fastest tier holding it.
@@ -187,25 +200,13 @@ func (s *Store) Lookup(c journal.Cell) (*journal.Record, Tier, bool) {
 	key := c.Key()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lookupLocked(c, key)
-}
-
-// Put stores a computed record in both tiers: the disk append (durable,
-// fsynced) happens first — outside the store lock, the journal has its
-// own — so the memory tier never holds a record the disk tier could
-// lose, and an fsync never stalls concurrent memory-tier hits. With no
-// disk tier the insert is memory-only.
-func (s *Store) Put(c journal.Cell, rec *journal.Record) error {
-	key := c.Key()
-	if s.disk != nil {
-		if err := s.disk.Append(c, rec); err != nil {
-			return err
-		}
+	if rec, ok := s.memLocked(key); ok {
+		return rec, TierMemory, true
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.insertLocked(key, rec)
-	return nil
+	if rec, ok := s.diskLocked(c, key); ok {
+		return rec, TierDisk, true
+	}
+	return nil, TierNone, false
 }
 
 // GetOrCompute serves the cell from the fastest tier that has it, or —
@@ -222,10 +223,13 @@ func (s *Store) Put(c journal.Cell, rec *journal.Record) error {
 func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(ctx context.Context) (*journal.Record, error)) (*journal.Record, Tier, error) {
 	key := c.Key()
 	s.mu.Lock()
-	if rec, tier, ok := s.lookupLocked(c, key); ok {
+	if rec, ok := s.memLocked(key); ok {
 		s.mu.Unlock()
-		return rec, tier, nil
+		return rec, TierMemory, nil
 	}
+	// The flight is checked before the disk tier: a leader's record is on
+	// disk before it reaches memory, and a request arriving in between
+	// must collapse onto the flight, not count as a disk hit.
 	if f, ok := s.flights[key]; ok {
 		s.stats.DedupCollapses++
 		s.count("dedup_collapses")
@@ -237,6 +241,10 @@ func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(c
 			return nil, TierNone, ctx.Err()
 		}
 	}
+	if rec, ok := s.diskLocked(c, key); ok {
+		s.mu.Unlock()
+		return rec, TierDisk, nil
+	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f
 	s.stats.Misses++
@@ -245,8 +253,12 @@ func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(c
 	s.mu.Unlock()
 
 	rec, err := compute(ctx)
-	if err == nil {
-		if perr := s.Put(c, rec); perr != nil {
+	// The disk append (durable, fsynced) happens first and outside the
+	// store lock — the journal has its own — so the memory tier never
+	// holds a record the disk tier could lose, and an fsync never stalls
+	// concurrent memory-tier hits.
+	if err == nil && s.disk != nil {
+		if perr := s.disk.Append(c, rec); perr != nil {
 			// The cell simulated but its proof is not durable — the
 			// store's contract is "served results are reproducible from
 			// the journal", so this surfaces as a failure, not a success
@@ -254,10 +266,17 @@ func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(c
 			rec, err = nil, fmt.Errorf("store: cell computed but not durable: %w", perr)
 		}
 	}
+	if s.afterAppend != nil {
+		s.afterAppend()
+	}
+	// One critical section inserts the record and retires the flight, so
+	// every later request sees one or the other.
 	s.mu.Lock()
 	if err != nil {
 		s.stats.Errors++
 		s.count("errors")
+	} else {
+		s.insertLocked(key, rec)
 	}
 	delete(s.flights, key)
 	s.stats.InFlight--
@@ -272,7 +291,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.MemEntries = len(s.mem)
+	st.MemEntries = s.lru.Len()
 	st.MemCap = s.memCap
 	if s.disk != nil {
 		st.Disk = s.disk.Stats()

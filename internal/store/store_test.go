@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -96,6 +97,95 @@ func TestTiers(t *testing.T) {
 	if _, tier, _ := s2.GetOrCompute(context.Background(), c, compute); tier != store.TierMemory {
 		t.Fatalf("disk hit not promoted to memory: tier=%v", tier)
 	}
+
+	// Eviction order: in a memory-only store of cap 2, a hit refreshes
+	// its entry, so a third insert evicts the least recently used cell.
+	m := openStore(t, "", 2)
+	get := func(n int) store.Tier {
+		t.Helper()
+		_, tier, err := m.GetOrCompute(context.Background(), cellN(n),
+			func(context.Context) (*journal.Record, error) { return recN(n), nil })
+		if err != nil {
+			t.Fatalf("cell %d: %v", n, err)
+		}
+		return tier
+	}
+	get(1)
+	get(2)
+	if tier := get(1); tier != store.TierMemory {
+		t.Fatalf("cell 1 before eviction: tier=%v, want memory", tier)
+	}
+	get(3) // evicts cell 2, the least recently used
+	if _, _, ok := m.Lookup(cellN(2)); ok {
+		t.Error("cell 2 survived eviction; the LRU entry should have gone")
+	}
+	for _, n := range []int{1, 3} {
+		if _, tier, ok := m.Lookup(cellN(n)); !ok || tier != store.TierMemory {
+			t.Errorf("cell %d evicted (ok=%v tier=%v); only cell 2 should have gone", n, ok, tier)
+		}
+	}
+	if st := m.Stats(); st.MemEntries != 2 {
+		t.Errorf("memory tier holds %d entries, want its cap 2", st.MemEntries)
+	}
+}
+
+// TestFollowerInAppendWindowCollapses parks a leader after its durable
+// journal append but before its memory insert. A request arriving in
+// that window finds the record on disk, yet must collapse onto the
+// leader's flight: served by the leader, counted as a dedup collapse,
+// never as a disk hit.
+func TestFollowerInAppendWindowCollapses(t *testing.T) {
+	s := openStore(t, filepath.Join(t.TempDir(), "cells.jsonl"), 0)
+	appended := make(chan struct{})
+	release := make(chan struct{})
+	store.SetAfterAppend(s, func() {
+		close(appended)
+		<-release
+	})
+
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, _, err := s.GetOrCompute(context.Background(), cellN(1),
+			func(context.Context) (*journal.Record, error) { return recN(1), nil })
+		leaderDone <- err
+	}()
+	<-appended
+
+	type served struct {
+		rec  *journal.Record
+		tier store.Tier
+		err  error
+	}
+	followerDone := make(chan served, 1)
+	go func() {
+		rec, tier, err := s.GetOrCompute(context.Background(), cellN(1),
+			func(context.Context) (*journal.Record, error) {
+				t.Error("follower must not compute")
+				return nil, errors.New("unreachable")
+			})
+		followerDone <- served{rec, tier, err}
+	}()
+	// Wait until the follower has been accounted to some bucket; with the
+	// leader parked it cannot have been served from memory.
+	for {
+		st := s.Stats()
+		if st.DedupCollapses+st.DiskHits+st.MemHits > 0 {
+			if st.DedupCollapses != 1 || st.DiskHits != 0 || st.MemHits != 0 {
+				t.Fatalf("follower in the append window: dedup %d, disk %d, mem %d; want one dedup collapse",
+					st.DedupCollapses, st.DiskHits, st.MemHits)
+			}
+			break
+		}
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-leaderDone; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	got := <-followerDone
+	if got.err != nil || got.tier != store.TierNone || got.rec.Digest() != recN(1).Digest() {
+		t.Fatalf("follower: tier=%v err=%v, want the leader's record", got.tier, got.err)
+	}
 }
 
 // TestSingleflightExactlyOnce: many concurrent requests per key, one
@@ -157,8 +247,8 @@ func TestSingleflightExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestTortureOverlappingKeys is the -race workhorse: parallel Lookup,
-// Put, and singleflight misses over an overlapping key space, with a
+// TestTortureOverlappingKeys is the -race workhorse: parallel Lookup
+// and singleflight misses over an overlapping key space, with a
 // memory tier small enough to churn evictions throughout. Afterwards:
 // exactly one compute per key ever ran, and a cold reopen serves every
 // key byte-identically from disk.
