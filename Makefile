@@ -25,7 +25,7 @@ bench:
 # at -cpu 1 (names without a -N suffix, as in the GOMAXPROCS=1 baseline)
 # and -count 5; benchjson keeps the median of the five samples.
 bench-json:
-	{ $(GO) test -run '^$$' -cpu 1 -count 5 -bench 'BenchmarkEngineStep|BenchmarkRunOutageFree|BenchmarkRunRFHome' . ; \
+	{ $(GO) test -run '^$$' -cpu 1 -count 5 -bench 'BenchmarkEngineStep|BenchmarkRunOutageFree|BenchmarkRunRFHome|BenchmarkRunRFHomeNVP' . ; \
 	  $(GO) test -run '^$$' -cpu 1 -count 5 -bench 'BenchmarkFig5OutageFree|BenchmarkFig6RFHome' -benchtime 3x . ; \
 	  $(GO) test -run '^$$' -cpu 1 -count 5 -bench 'BenchmarkCacheProbe|BenchmarkCacheDirtySweep|BenchmarkCacheInvalidate|BenchmarkBufferSearch' . ; } \
 		| $(GO) run ./cmd/benchjson -o BENCH_engine.json

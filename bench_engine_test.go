@@ -95,3 +95,23 @@ func BenchmarkRunRFHome(b *testing.B) {
 	b.StopTimer()
 	reportInstrRate(b, instrs)
 }
+
+// BenchmarkRunRFHomeNVP measures the harvested-power engine on the
+// cache-free NVP baseline under the RF-Home trace: every instruction pays
+// the declared NVM fetch charge, and JIT backups and restores punctuate
+// the epochs. NVP is the denominator of every speedup in Figures 5–7.
+func BenchmarkRunRFHomeNVP(b *testing.B) {
+	cres, p := benchCompile(b, arch.NVP)
+	var instrs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sim.Run(cres.Linked, arch.New(arch.NVP, p),
+			sim.Options{Source: trace.NewShared(trace.RFHome, 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		instrs = res.Counts.Executed
+	}
+	b.StopTimer()
+	reportInstrRate(b, instrs)
+}

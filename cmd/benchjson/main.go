@@ -18,9 +18,7 @@ import (
 	"log/slog"
 	"os"
 	"os/exec"
-	"runtime"
 	"runtime/debug"
-	"strconv"
 	"strings"
 
 	"repro/internal/benchfmt"
@@ -75,7 +73,11 @@ func main() {
 	// which engine model, how many procs".
 	doc.Context["git-commit"] = gitCommit()
 	doc.Context["engine"] = sim.EngineVersion
-	doc.Context["gomaxprocs"] = strconv.Itoa(runtime.GOMAXPROCS(0))
+	// The benchmarks' own GOMAXPROCS, read off their names (-cpu 1
+	// leaves no suffix), not this converter's.
+	if procs := doc.GOMAXPROCS(); procs != "" {
+		doc.Context["gomaxprocs"] = procs
+	}
 	log.Debug("parsed benchmarks",
 		"results", len(doc.Results), "commit", doc.Context["git-commit"],
 		"engine", doc.Context["engine"])

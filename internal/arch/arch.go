@@ -118,12 +118,10 @@ func (b *base) Params() config.Params  { return b.p }
 // SetTracer attaches (or detaches, with nil) the telemetry tracer.
 func (b *base) SetTracer(tr *telemetry.Tracer) { b.tr = tr }
 func (b *base) Sync(now int64)                 {}
-func (b *base) Fetch(now int64) cpu.Cost       { return cpu.Cost{} }
 
-// FetchIsFree declares the no-op Fetch above to the interpreter (see
-// cpu.FreeFetcher); schemes that charge per-fetch costs must override
-// both Fetch and this.
-func (b *base) FetchIsFree() bool { return true }
+// FetchCost is zero for the cached schemes: only the cache-free NVP pays
+// for a fetch beyond the 1-cycle base.
+func (b *base) FetchCost() cpu.FetchCost { return cpu.FetchCost{} }
 func (b *base) RegionEnd(now int64) cpu.Cost {
 	panic("arch: region.end executed on a plain-compiled scheme")
 }
@@ -134,7 +132,6 @@ func (b *base) Fence(now int64) cpu.Cost {
 	panic("arch: fence executed on a non-replay scheme")
 }
 func (b *base) ContinuesAfterBackup() bool { return false }
-func (b *base) NeedsBackup() bool          { return false }
 func (b *base) Boot(entryPC int64)         {}
 func (b *base) Finalize()                  {}
 
@@ -159,9 +156,9 @@ type Scheme interface {
 	// ContinuesAfterBackup reports NvMR's defining property: execution
 	// proceeds past the backup instead of halting until VRestore.
 	ContinuesAfterBackup() bool
-	// NeedsBackup reports that the scheme requires an extra JIT backup
-	// now for structural reasons (NvMR's rename table filling up).
-	NeedsBackup() bool
+	// FetchCost is the scheme's constant per-instruction fetch charge,
+	// which the interpreter adds inline (zero for cached schemes).
+	FetchCost() cpu.FetchCost
 	// Boot primes the recovery state with the program entry point, so a
 	// failure before the first backup restarts the program.
 	Boot(entryPC int64)

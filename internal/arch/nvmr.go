@@ -44,7 +44,8 @@ func (s *nvmr) ContinuesAfterBackup() bool { return true }
 func (s *nvmr) Cache() *cache.Cache        { return s.c }
 
 // NeedsBackup reports that the rename table is full and a commit backup is
-// required before more speculative writebacks can rename.
+// required before more speculative writebacks can rename. No other scheme
+// raises structural backups, so only NvMR has the method.
 func (s *nvmr) NeedsBackup() bool { return s.needBk }
 
 func (s *nvmr) writeback(v int) {

@@ -21,12 +21,10 @@ func (s *nvp) Kind() Kind          { return NVP }
 func (s *nvp) JIT() bool           { return true }
 func (s *nvp) Cache() *cache.Cache { return nil }
 
-func (s *nvp) Fetch(now int64) cpu.Cost {
-	s.led.NVM += s.p.ENVMRead
-	return cpu.Cost{Ns: s.p.NVPFetchNs}
+// FetchCost charges every instruction fetch as an NVM read.
+func (s *nvp) FetchCost() cpu.FetchCost {
+	return cpu.FetchCost{Ns: s.p.NVPFetchNs, NVM: s.p.ENVMRead}
 }
-
-func (s *nvp) FetchIsFree() bool { return false }
 
 func (s *nvp) Load(now int64, addr int64, byteWide bool) (int64, cpu.Cost) {
 	s.led.NVM += s.p.ENVMRead

@@ -46,8 +46,17 @@ func (s *replay) Kind() Kind          { return ReplayCache }
 func (s *replay) JIT() bool           { return true }
 func (s *replay) Cache() *cache.Cache { return s.c }
 
-// Sync applies queue entries whose drain completed by now.
+// Sync applies queue entries whose drain completed by now. The queue is
+// in completion order, so "nothing due yet" is one compare against the
+// oldest entry, small enough to inline into the access path.
 func (s *replay) Sync(now int64) {
+	if len(s.pending) > 0 && s.pending[0].doneAt <= now {
+		s.drainDue(now)
+	}
+}
+
+// drainDue is Sync's slow half: the oldest queued entry is due.
+func (s *replay) drainDue(now int64) {
 	i := 0
 	for ; i < len(s.pending) && s.pending[i].doneAt <= now; i++ {
 		s.nvm.WriteLine(s.pending[i].addr, &s.pending[i].data)

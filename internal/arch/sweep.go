@@ -108,11 +108,15 @@ func (s *sweep) Boot(entryPC int64) {
 // Sync drains buffers whose s-phase2 completed by now, in region order so
 // a younger duplicate line lands after an older one. The fast path — no
 // sealed buffer due yet — is a single compare against the cached earliest
-// completion time.
+// completion time, small enough to inline into Load and Store.
 func (s *sweep) Sync(now int64) {
-	if now < s.nextDrainAt {
-		return
+	if now >= s.nextDrainAt {
+		s.drainDue(now)
 	}
+}
+
+// drainDue is Sync's slow half: at least one sealed buffer may be due.
+func (s *sweep) drainDue(now int64) {
 	for {
 		var due *persist.Buffer
 		for _, b := range s.bufs {

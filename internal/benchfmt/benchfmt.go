@@ -131,6 +131,29 @@ func ReadFile(path string) (*Doc, error) {
 	return &doc, nil
 }
 
+// GOMAXPROCS returns the GOMAXPROCS the document's benchmarks ran at, as
+// their names record it: `go test` appends a -N suffix when GOMAXPROCS is
+// N > 1 and none at 1. Distinct values (a -cpu list) are joined with
+// commas in order of first appearance; a document without results
+// yields "".
+func (d *Doc) GOMAXPROCS() string {
+	var procs []string
+	seen := map[string]bool{}
+	for _, r := range d.Results {
+		p := "1"
+		if i := strings.LastIndexByte(r.Name, '-'); i >= 0 {
+			if n, err := strconv.Atoi(r.Name[i+1:]); err == nil && n > 0 {
+				p = strconv.Itoa(n)
+			}
+		}
+		if !seen[p] {
+			seen[p] = true
+			procs = append(procs, p)
+		}
+	}
+	return strings.Join(procs, ",")
+}
+
 // Encode renders the document as indented JSON with a trailing newline.
 func (d *Doc) Encode() ([]byte, error) {
 	enc, err := json.MarshalIndent(d, "", "  ")

@@ -189,3 +189,23 @@ func TestEncodeRoundTrip(t *testing.T) {
 		t.Fatalf("context lost:\n%s", enc)
 	}
 }
+
+// TestGOMAXPROCSFromNames: the context's gomaxprocs comes from the
+// benchmarks' -N name suffixes, not from the converting process.
+func TestGOMAXPROCSFromNames(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"BenchmarkA 10 5 ns/op\nBenchmarkB 10 5 ns/op\n", "1"},
+		{sampleBench, "8"},
+		{"BenchmarkA 10 5 ns/op\nBenchmarkA-4 10 5 ns/op\nBenchmarkB-4 10 5 ns/op\n", "1,4"},
+		{"BenchmarkCache/ways-x 10 5 ns/op\n", "1"},
+		{"PASS\n", ""},
+	} {
+		doc, err := Parse(strings.NewReader(tc.in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := doc.GOMAXPROCS(); got != tc.want {
+			t.Errorf("GOMAXPROCS(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}

@@ -29,11 +29,9 @@ func (c *Cost) Add(o Cost) { c.Ns += o.Ns }
 
 // MemSystem is the per-scheme memory hierarchy. now is the current
 // simulation time; implementations use it to resolve persistence stalls
-// and background completions.
+// and background completions. Instruction fetch is not a call: its cost
+// is a per-scheme constant (FetchCost) the interpreter charges inline.
 type MemSystem interface {
-	// Fetch charges the instruction-fetch cost beyond the 1-cycle base
-	// (only the cache-free NVP pays NVM latency here).
-	Fetch(now int64) Cost
 	// Load reads a word (or a zero-extended byte) from addr.
 	Load(now int64, addr int64, byteWide bool) (int64, Cost)
 	// Store writes a word (or the low byte of val) to addr.
@@ -71,22 +69,7 @@ type CPU struct {
 
 	// dec is the predecoded dispatch table, position-matched to Code.
 	dec []isa.Decoded
-	// fetchFree elides the per-instruction ms.Fetch call for memory
-	// systems that declare it cost- and effect-free (see FreeFetcher).
-	fetchFree bool
 }
-
-// FreeFetcher is an optional MemSystem capability: implementations whose
-// Fetch never charges time or energy and has no side effects return true,
-// and the interpreter drops the call from the per-instruction path. The
-// cache-free NVP pays NVM latency on every fetch and must return false.
-type FreeFetcher interface {
-	FetchIsFree() bool
-}
-
-// SetFetchFree configures fetch elision; callers must only enable it for
-// a memory system whose Fetch is a no-op.
-func (c *CPU) SetFetchFree(free bool) { c.fetchFree = free }
 
 // New returns a core ready to run code from entryPC, predecoding the
 // dispatch table itself.
@@ -110,27 +93,38 @@ func NewLinked(l *ir.Linked) *CPU {
 	return NewPredecoded(l.Code, l.Dec, int64(l.EntryPC))
 }
 
-// StepTiming carries the per-op latencies the core itself owns.
+// FetchCost is a scheme's constant per-instruction fetch charge beyond
+// the 1-cycle base: Ns is added to every instruction's latency, NVM (joules)
+// to the ledger's NVM field before the instruction's memory-system call.
+// Cached schemes fetch for free (the zero value); the cache-free NVP pays
+// an NVM read on every fetch.
+type FetchCost struct {
+	Ns  int64
+	NVM float64
+}
+
+// StepTiming carries the per-op latencies the core itself owns, plus the
+// scheme's declared fetch cost.
 type StepTiming struct {
 	CycleNs   int64
 	MulCycles int64
 	DivCycles int64
+	Fetch     FetchCost
 }
 
 // StepFast executes the instruction at PC against ms and returns its time
 // cost in nanoseconds plus its dispatch class, through the predecoded
 // table: one dense switch, no opcode range tests, and the class flows
-// back to the engine so it never re-reads the instruction word. It panics
-// on malformed code (the linker guarantees well-formed programs).
+// back to the engine so it never re-reads the instruction word. The
+// returned time includes t.Fetch.Ns; the fetch energy t.Fetch.NVM is the
+// caller's to charge, before the call. It panics on malformed code (the
+// linker guarantees well-formed programs).
 func (c *CPU) StepFast(now int64, ms MemSystem, t StepTiming) (int64, isa.Class) {
 	if c.Halted {
 		return 0, isa.ClassHalt
 	}
 	d := &c.dec[c.PC]
-	ns := t.CycleNs
-	if !c.fetchFree {
-		ns += ms.Fetch(now).Ns
-	}
+	ns := t.CycleNs + t.Fetch.Ns
 	next := c.PC + 1
 	c.Counts.Executed++
 
@@ -253,44 +247,41 @@ func (c *CPU) ClassAt(pc int64) isa.Class { return c.dec[pc].Class }
 // time, the number of instructions retired, and whether the stop was a
 // region delimiter.
 //
-// After each instruction it adds the engine's per-instruction ledger
-// charge to *compute: eByNs[ns] when ns indexes the table, otherwise
-// eInstr + pRun*float64(ns)*1e-9 — the exact expression of the per-step
-// engine loop, so ledger totals are bit-identical. compute aliases a live
-// ledger field that the memory system also accumulates into during
-// Load/Store, so it is read and written through the pointer on every
-// instruction, never cached in a local.
+// Each instruction first adds the fetch energy t.Fetch.NVM to led.NVM,
+// then runs, then adds the engine's per-instruction charge to
+// led.Compute: eByNs[ns] when ns indexes the table, otherwise
+// eInstr + pRun*float64(ns)*1e-9. That is exactly the float-add sequence
+// of the per-step reference engine, so ledger totals are bit-identical.
+// (For schemes that fetch for free the NVM add is of +0, which leaves the
+// non-negative field's bits unchanged.)
 //
 // The dispatch switch below must stay in step with StepFast; the
 // traced-versus-untraced matrix test in internal/sim pins the
 // equivalence.
-func (c *CPU) RunUntraced(now int64, ms MemSystem, t StepTiming, eByNs []float64, eInstr, pRun float64, compute *float64, max uint64) (elapsed int64, instrs int, delim bool) {
+func (c *CPU) RunUntraced(now int64, ms MemSystem, t StepTiming, eByNs []float64, eInstr, pRun float64, led *energy.Ledger, max uint64) (elapsed int64, instrs int, delim bool) {
 	if c.Halted {
 		return 0, 0, false
 	}
 	pc := c.PC
 	executed := c.Counts.Executed
-	// dec and fetchFree live in locals so the memory-system calls — which
-	// could alias c for all the compiler knows — don't force per-iteration
-	// reloads. comp shadows *compute in a register: the ledger field is
-	// synced around every ms call (the only other writer/reader) and on
-	// exit, so the sequence of float adds it receives is unchanged — only
-	// where the running value is stored between adds differs.
+	// dec lives in a local so the memory-system calls — which could alias
+	// c for all the compiler knows — don't force per-iteration reloads.
+	// comp and nvm shadow led.Compute and led.NVM in registers: both are
+	// stored before every ms call (the only other writer/reader) and
+	// reloaded after it, and stored on exit, so the sequence of float adds
+	// each field receives is unchanged — only where the running value is
+	// kept between adds differs.
 	dec := c.dec
-	fetchFree := c.fetchFree
-	comp := *compute
+	baseNs, fetchE := t.CycleNs+t.Fetch.Ns, t.Fetch.NVM
+	comp, nvm := led.Compute, led.NVM
 	// now is the only clock accumulator (elapsed = now-start) and the
 	// retire count is derived from the executed delta on exit.
 	start := now
 	startExec := executed
 	for executed < max {
 		d := &dec[pc]
-		ns := t.CycleNs
-		if !fetchFree {
-			*compute = comp
-			ns += ms.Fetch(now).Ns
-			comp = *compute
-		}
+		ns := baseNs
+		nvm += fetchE
 		next := pc + 1
 		executed++
 
@@ -335,29 +326,29 @@ func (c *CPU) RunUntraced(now int64, ms MemSystem, t StepTiming, eByNs []float64
 
 		case isa.ClassLd:
 			c.Counts.Loads++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			v, mc := ms.Load(now+ns, c.Regs[d.Src1]+d.Imm, false)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			c.Regs[d.Dst] = v
 			ns += mc.Ns
 		case isa.ClassLdB:
 			c.Counts.Loads++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			v, mc := ms.Load(now+ns, c.Regs[d.Src1]+d.Imm, true)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			c.Regs[d.Dst] = v
 			ns += mc.Ns
 		case isa.ClassSt:
 			c.Counts.Stores++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			mc := ms.Store(now+ns, c.Regs[d.Src1]+d.Imm, c.Regs[d.Src2], false)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			ns += mc.Ns
 		case isa.ClassStB:
 			c.Counts.Stores++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			mc := ms.Store(now+ns, c.Regs[d.Src1]+d.Imm, c.Regs[d.Src2], true)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			ns += mc.Ns
 
 		case isa.ClassBeq:
@@ -389,33 +380,33 @@ func (c *CPU) RunUntraced(now int64, ms MemSystem, t StepTiming, eByNs []float64
 
 		case isa.ClassCkptSt:
 			c.Counts.CkptStores++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			mc := ms.Store(now+ns, ir.CkptSlotAddr(d.Src2), c.Regs[d.Src2], false)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			ns += mc.Ns
 		case isa.ClassSavePC:
 			c.Counts.SavePCs++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			mc := ms.Store(now+ns, ir.PCSlotAddr, d.Imm, false)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			ns += mc.Ns
 		case isa.ClassRegionEnd:
 			c.Counts.RegionEnds++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			mc := ms.RegionEnd(now + ns)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			ns += mc.Ns
 		case isa.ClassClwb:
 			c.Counts.Clwbs++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			mc := ms.Clwb(now+ns, c.Regs[d.Src1]+d.Imm)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			ns += mc.Ns
 		case isa.ClassFence:
 			c.Counts.Fences++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			mc := ms.Fence(now + ns)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			ns += mc.Ns
 
 		default:
@@ -436,18 +427,16 @@ func (c *CPU) RunUntraced(now int64, ms MemSystem, t StepTiming, eByNs []float64
 	}
 	c.PC = pc
 	c.Counts.Executed = executed
-	*compute = comp
+	led.Compute, led.NVM = comp, nvm
 	return now - start, int(executed - startExec), delim
 }
 
 // EpochControl parameterizes RunEpoch, the fused harvested-power inner
 // loop. The run-constant fields are set once per simulation; LedStart,
 // Budget, SegRem and RegionInstrs are refreshed per epoch by the engine.
-// NeedsBackup stays a closure and is consulted only after instructions
-// that enter the memory system (scheme state cannot change elsewhere);
-// the ledger is passed directly so the budget comparison's exact fold
+// The ledger is passed directly so the budget comparison's exact fold
 // (Led.Total()) inlines, and even that is evaluated only when the
-// Compute watermark says the comparison could go true.
+// Compute/NVM watermarks say the comparison could go true.
 type EpochControl struct {
 	// Per-instruction ledger charge, exactly as in RunUntraced: EByNs[ns]
 	// when ns indexes the table, else EInstr + PRun*ns*1e-9.
@@ -456,9 +445,12 @@ type EpochControl struct {
 	PRun   float64
 	Max    uint64 // global instruction budget
 
-	Jit         bool
-	NeedsBackup func() bool    // structural backup request (JIT schemes)
-	Led         *energy.Ledger // the live ledger (Compute is the engine-charged field)
+	// NeedsBackup is the structural backup request of a scheme that can
+	// raise one (NvMR's rename table filling up), consulted after every
+	// instruction that enters the memory system (scheme state cannot
+	// change elsewhere). nil for every other scheme.
+	NeedsBackup func() bool
+	Led         *energy.Ledger // the live ledger (Compute and NVM are engine-charged)
 	LedStart    float64        // ledger total at epoch start
 	Budget      float64        // epoch energy budget (joules)
 	SegRem      int64          // remaining ns in the power-trace segment
@@ -468,24 +460,42 @@ type EpochControl struct {
 	OnRegionEnd  func(int) // region-size histogram sink
 }
 
+// watermarks re-arms RunEpoch's budget-check skip after an exact fold
+// tt that said "continue": the comparison cannot go true while Compute
+// stays below cSafe and NVM below nSafe, each granted a quarter of the
+// remaining slack. When the slack is too small to dwarf rounding drift,
+// both marks sit at the current values and the next instruction folds.
+func watermarks(comp, nvm, tt, ledStart, budget float64) (cSafe, nSafe float64) {
+	slack := budget - (tt - ledStart)
+	if slack > (tt+1)*1e-9 {
+		return comp + 0.25*slack, nvm + 0.25*slack
+	}
+	return comp, nvm
+}
+
 // RunEpoch retires one epoch's instructions back-to-back, with PC and the
 // executed counter in locals. It stops on a structural backup request, at
 // the instruction budget, on halt, on an instruction at the
 // single-instruction latency bound, when the next instruction might not
 // fit in the power-trace segment, or when the ledger delta reaches the
 // epoch budget. It returns the elapsed time and the updated running
-// region length.
+// region length. Ledger charges are those of RunUntraced: fetch energy to
+// NVM before the instruction, the engine charge to Compute after it.
 //
 // The budget comparison Total()-LedStart >= Budget is evaluated with that
-// exact expression whenever it can matter. On pure-compute stretches it is
-// skipped while Compute stays below a watermark cSafe, which cannot change
-// the outcome: Total() is monotone non-decreasing in Compute with the
-// other ledger fields held fixed (IEEE round-to-nearest addition is
-// monotone in each operand, and the fold composes monotone steps), and the
-// other fields change only when an instruction enters the memory system.
-// The watermark is re-armed at half the remaining slack, which dwarfs the
-// rounding drift between the incremental Compute adds and a fresh fold
-// (~1e-15 relative), so the budget cannot be crossed below it. The caller
+// exact expression whenever it can matter: after every instruction that
+// enters the memory system, and on pure-compute stretches whenever
+// Compute or NVM reaches its watermark. The skipped comparisons cannot
+// have a different outcome. Total() is monotone non-decreasing in each of
+// Compute and NVM with the other ledger fields held fixed (IEEE
+// round-to-nearest addition is monotone in each operand, and the fold
+// composes monotone steps). A pure-compute instruction changes only those
+// two fields — the engine charge and the scheme's constant fetch energy —
+// because the other fields change only inside memory-system calls. After
+// an exact fold leaves slack s, the watermarks sit a quarter of s above
+// the current Compute and NVM, so below both marks Total() has grown by
+// at most half of s plus rounding drift (~1e-15 relative), which the
+// other half dwarfs: the budget cannot be crossed below them. The caller
 // must not invoke RunEpoch on a halted core or with a pending backup
 // request.
 //
@@ -496,21 +506,22 @@ func (c *CPU) RunEpoch(now int64, ms MemSystem, t StepTiming, ec *EpochControl) 
 	executed := c.Counts.Executed
 	ri = ec.RegionInstrs
 	led := ec.Led
-	compute := &led.Compute
 	// Hoist the control fields into locals: the closure and ms calls below
 	// could alias ec (or c) for all the compiler knows, so field accesses
 	// inside the loop would otherwise reload on every instruction. comp
-	// shadows *compute in a register, synced around every ms call (the
-	// only other writer) and before every Total() fold (the only other
-	// reader), so the float-add sequence it receives is unchanged.
+	// and nvm shadow led.Compute and led.NVM in registers, stored before
+	// every ms call (the only other writer) and before every Total() fold
+	// (the only other reader), so the float-add sequence each receives is
+	// unchanged.
 	eByNs, eInstr, pRun := ec.EByNs, ec.EInstr, ec.PRun
-	max, jit := ec.Max, ec.Jit
+	max, needsBackup := ec.Max, ec.NeedsBackup
 	ledStart, budget := ec.LedStart, ec.Budget
 	segRem, maxInstrNs := ec.SegRem, ec.MaxInstrNs
 	dec := c.dec
-	fetchFree := c.fetchFree
-	comp := *compute
-	cSafe := comp // force an exact budget check on the first instruction
+	baseNs, fetchE := t.CycleNs+t.Fetch.Ns, t.Fetch.NVM
+	comp, nvm := led.Compute, led.NVM
+	// Force an exact budget check on the first instruction.
+	cSafe, nSafe := comp, nvm
 	// now is the only clock accumulator: the epoch clock is now-start,
 	// and the segment check epochNs+maxInstrNs >= segRem becomes a single
 	// compare against an absolute deadline.
@@ -518,12 +529,8 @@ func (c *CPU) RunEpoch(now int64, ms MemSystem, t StepTiming, ec *EpochControl) 
 	segDeadline := now + segRem - maxInstrNs
 	for executed < max {
 		d := &dec[pc]
-		ns := t.CycleNs
-		if !fetchFree {
-			*compute = comp
-			ns += ms.Fetch(now).Ns
-			comp = *compute
-		}
+		ns := baseNs
+		nvm += fetchE
 		next := pc + 1
 		executed++
 
@@ -568,29 +575,29 @@ func (c *CPU) RunEpoch(now int64, ms MemSystem, t StepTiming, ec *EpochControl) 
 
 		case isa.ClassLd:
 			c.Counts.Loads++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			v, mc := ms.Load(now+ns, c.Regs[d.Src1]+d.Imm, false)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			c.Regs[d.Dst] = v
 			ns += mc.Ns
 		case isa.ClassLdB:
 			c.Counts.Loads++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			v, mc := ms.Load(now+ns, c.Regs[d.Src1]+d.Imm, true)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			c.Regs[d.Dst] = v
 			ns += mc.Ns
 		case isa.ClassSt:
 			c.Counts.Stores++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			mc := ms.Store(now+ns, c.Regs[d.Src1]+d.Imm, c.Regs[d.Src2], false)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			ns += mc.Ns
 		case isa.ClassStB:
 			c.Counts.Stores++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			mc := ms.Store(now+ns, c.Regs[d.Src1]+d.Imm, c.Regs[d.Src2], true)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			ns += mc.Ns
 
 		case isa.ClassBeq:
@@ -622,33 +629,33 @@ func (c *CPU) RunEpoch(now int64, ms MemSystem, t StepTiming, ec *EpochControl) 
 
 		case isa.ClassCkptSt:
 			c.Counts.CkptStores++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			mc := ms.Store(now+ns, ir.CkptSlotAddr(d.Src2), c.Regs[d.Src2], false)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			ns += mc.Ns
 		case isa.ClassSavePC:
 			c.Counts.SavePCs++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			mc := ms.Store(now+ns, ir.PCSlotAddr, d.Imm, false)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			ns += mc.Ns
 		case isa.ClassRegionEnd:
 			c.Counts.RegionEnds++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			mc := ms.RegionEnd(now + ns)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			ns += mc.Ns
 		case isa.ClassClwb:
 			c.Counts.Clwbs++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			mc := ms.Clwb(now+ns, c.Regs[d.Src1]+d.Imm)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			ns += mc.Ns
 		case isa.ClassFence:
 			c.Counts.Fences++
-			*compute = comp
+			led.Compute, led.NVM = comp, nvm
 			mc := ms.Fence(now + ns)
-			comp = *compute
+			comp, nvm = led.Compute, led.NVM
 			ns += mc.Ns
 
 		default:
@@ -664,36 +671,27 @@ func (c *CPU) RunEpoch(now int64, ms MemSystem, t StepTiming, ec *EpochControl) 
 		now += ns
 
 		cl := d.Class
-		if fetchFree && isa.ClassFlags[cl] == 0 {
+		if isa.ClassFlags[cl] == 0 {
 			// Pure-compute fast path: not a delimiter, cannot halt,
 			// cannot touch the memory system — so scheme state is
 			// unchanged and the budget comparison is skippable while
-			// Compute stays below the watermark. The latency-bound and
-			// segment-deadline compares are the same tests as below.
+			// Compute and NVM stay below their watermarks. The
+			// latency-bound and segment-deadline compares are the same
+			// tests as below.
 			ri++
 			if ns >= maxInstrNs || now >= segDeadline {
 				break
 			}
-			if comp < cSafe {
+			if comp < cSafe && nvm < nSafe {
 				continue
 			}
-			*compute = comp // the fold reads the live ledger field
+			led.Compute, led.NVM = comp, nvm // the fold reads the live fields
 			tt := led.Total()
 			if tt-ledStart >= budget {
 				break
 			}
-			slack := budget - (tt - ledStart)
-			if slack > (tt+1)*1e-9 {
-				cSafe = comp + 0.5*slack
-			} else {
-				cSafe = comp
-			}
+			cSafe, nSafe = watermarks(comp, nvm, tt, ledStart, budget)
 			continue
-		}
-		memTouch := !fetchFree || cl.TouchesMemSystem()
-		needBk := false
-		if jit && memTouch {
-			needBk = ec.NeedsBackup()
 		}
 		if cl == isa.ClassRegionEnd || cl == isa.ClassFence {
 			ec.OnRegionEnd(ri)
@@ -707,25 +705,20 @@ func (c *CPU) RunEpoch(now int64, ms MemSystem, t StepTiming, ec *EpochControl) 
 			now >= segDeadline {
 			break
 		}
-		if memTouch || comp >= cSafe {
-			*compute = comp // the fold reads the live ledger field
-			tt := led.Total()
-			if tt-ledStart >= budget {
-				break
-			}
-			slack := budget - (tt - ledStart)
-			if slack > (tt+1)*1e-9 {
-				cSafe = comp + 0.5*slack
-			} else {
-				cSafe = comp
-			}
+		// Every other flagged class entered the memory system, which may
+		// have moved any ledger field: compare exactly.
+		led.Compute, led.NVM = comp, nvm
+		tt := led.Total()
+		if tt-ledStart >= budget {
+			break
 		}
-		if needBk {
+		cSafe, nSafe = watermarks(comp, nvm, tt, ledStart, budget)
+		if needsBackup != nil && needsBackup() {
 			break
 		}
 	}
 	c.PC = pc
 	c.Counts.Executed = executed
-	*compute = comp
+	led.Compute, led.NVM = comp, nvm
 	return now - start, ri
 }

@@ -12,15 +12,12 @@ type flatMem struct {
 	words   map[int64]int64
 	loadNs  int64
 	storeNs int64
-	fetches int
 	regions int
 	clwbs   int
 	fences  int
 }
 
 func newFlatMem() *flatMem { return &flatMem{words: map[int64]int64{}} }
-
-func (m *flatMem) Fetch(now int64) Cost { m.fetches++; return Cost{} }
 
 func (m *flatMem) Load(now int64, addr int64, byteWide bool) (int64, Cost) {
 	w := m.words[addr&^7]

@@ -1,7 +1,9 @@
 package ir
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -23,6 +25,46 @@ type Linked struct {
 	// PCBlock[pc] is the block the instruction at pc was emitted from;
 	// synthetic fall-through jumps belong to the block they follow.
 	PCBlock []*Block
+
+	imageOnce sync.Once
+	image     []ImageRun
+}
+
+// ImageRun is a contiguous byte run of a program's initial NVM image.
+type ImageRun struct {
+	Addr int64
+	Data []byte
+}
+
+// Image returns the program's initial NVM image — the data inits plus the
+// recovery PC slot holding EntryPC — coalesced into contiguous byte runs
+// in init order, so booting a scheme is a handful of bulk copies instead
+// of a poke per word. It is built once per Linked, on first use, and
+// shared read-only by every boot of the binary.
+func (l *Linked) Image() []ImageRun {
+	l.imageOnce.Do(func() {
+		var runs []ImageRun
+		add := func(addr int64, b ...byte) {
+			if n := len(runs); n > 0 && runs[n-1].Addr+int64(len(runs[n-1].Data)) == addr {
+				runs[n-1].Data = append(runs[n-1].Data, b...)
+				return
+			}
+			runs = append(runs, ImageRun{addr, append([]byte(nil), b...)})
+		}
+		var w [8]byte
+		for _, di := range l.Prog.Inits {
+			if di.Byte {
+				add(di.Addr, byte(di.Val))
+			} else {
+				binary.LittleEndian.PutUint64(w[:], uint64(di.Val))
+				add(di.Addr, w[:]...)
+			}
+		}
+		binary.LittleEndian.PutUint64(w[:], uint64(l.EntryPC))
+		add(PCSlotAddr, w[:]...)
+		l.image = runs
+	})
+	return l.image
 }
 
 // Link lays out blocks in creation order per function, resolves branch,

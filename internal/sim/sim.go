@@ -16,7 +16,6 @@ package sim
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -294,59 +293,9 @@ const cancelChunkInstrs = 1 << 20
 // scheme's NVM.
 func InitNVM(s arch.Scheme, l *ir.Linked) {
 	nvm := s.NVM()
-	for _, run := range linkedImage(l) {
-		nvm.PokeImage(run.addr, run.data)
+	for _, run := range l.Image() {
+		nvm.PokeImage(run.Addr, run.Data)
 	}
-}
-
-// imageRun is a contiguous byte run of a program's initial NVM image.
-type imageRun struct {
-	addr int64
-	data []byte
-}
-
-// imageCache memoizes the coalesced NVM image per linked program: the
-// image is a pure function of the Linked (data inits plus the recovery PC
-// slot), and a seed sweep boots the same program many times, so each
-// boot after the first is a handful of bulk copies instead of a poke per
-// word. The map holds strong references, which also guarantees a cached
-// pointer key cannot be recycled for a different program; the reset cap
-// bounds the footprint.
-var imageCache struct {
-	sync.Mutex
-	m map[*ir.Linked][]imageRun
-}
-
-func linkedImage(l *ir.Linked) []imageRun {
-	imageCache.Lock()
-	defer imageCache.Unlock()
-	if runs, ok := imageCache.m[l]; ok {
-		return runs
-	}
-	var runs []imageRun
-	add := func(addr int64, b ...byte) {
-		if n := len(runs); n > 0 && runs[n-1].addr+int64(len(runs[n-1].data)) == addr {
-			runs[n-1].data = append(runs[n-1].data, b...)
-			return
-		}
-		runs = append(runs, imageRun{addr, append([]byte(nil), b...)})
-	}
-	var w [8]byte
-	for _, di := range l.Prog.Inits {
-		if di.Byte {
-			add(di.Addr, byte(di.Val))
-		} else {
-			binary.LittleEndian.PutUint64(w[:], uint64(di.Val))
-			add(di.Addr, w[:]...)
-		}
-	}
-	binary.LittleEndian.PutUint64(w[:], uint64(l.EntryPC))
-	add(ir.PCSlotAddr, w[:]...)
-	if imageCache.m == nil || len(imageCache.m) >= 64 {
-		imageCache.m = map[*ir.Linked][]imageRun{}
-	}
-	imageCache.m[l] = runs
-	return runs
 }
 
 // eTableCache shares the tabulated per-latency instruction energies across
@@ -414,6 +363,10 @@ type runner struct {
 	now          int64
 	armed        bool
 	regionInstrs int
+	// needsBackup is the structural backup request of a JIT scheme that
+	// can raise one (a structuralBackup: NvMR), nil for every other
+	// scheme, so only NvMR pays for the query.
+	needsBackup func() bool
 	// ec parameterizes the fused epoch loop (untraced harvested-power
 	// runs); run-constant fields are filled once by runBatched, the
 	// per-epoch fields by runEpoch.
@@ -438,6 +391,17 @@ type runner struct {
 	ctx             context.Context
 	cancelCountdown int
 }
+
+// structuralBackup is implemented by the schemes that can require an
+// extra JIT backup for structural reasons, independent of the voltage
+// (NvMR, whose rename table fills up). The engine consults NeedsBackup
+// only for schemes that implement it.
+type structuralBackup interface {
+	NeedsBackup() bool
+}
+
+// backupRequested reports a pending structural backup request.
+func (r *runner) backupRequested() bool { return r.needsBackup != nil && r.needsBackup() }
 
 // pollCancel is the engine loops' cancellation check: a counter decrement
 // on the common path, a context poll every cancelPollInterval calls.
@@ -489,9 +453,6 @@ func newRunner(l *ir.Linked, s arch.Scheme, opt Options) (*runner, error) {
 	InitNVM(s, l)
 	s.SetTracer(opt.Tracer)
 	core := cpu.NewLinked(l)
-	if ff, ok := s.(cpu.FreeFetcher); ok && ff.FetchIsFree() {
-		core.SetFetchFree(true)
-	}
 	s.Boot(int64(l.EntryPC))
 
 	r := &runner{
@@ -505,10 +466,13 @@ func newRunner(l *ir.Linked, s arch.Scheme, opt Options) (*runner, error) {
 		cap:    energy.NewCapacitor(p.CapacitorF, p.Vmax, p.Vmax),
 		tr:     opt.Tracer,
 		res:    &Result{Scheme: s.Name(), RegionSizes: stats.NewHist(opt.RegionHistMax)},
-		timing: cpu.StepTiming{CycleNs: p.CycleNs, MulCycles: p.MulCycles, DivCycles: p.DivCycles},
+		timing: cpu.StepTiming{CycleNs: p.CycleNs, MulCycles: p.MulCycles, DivCycles: p.DivCycles, Fetch: s.FetchCost()},
 		armed:  true,
 
 		eInstrByNs: eInstrTable(p.EInstr, p.PRun),
+	}
+	if sb, ok := s.(structuralBackup); ok && s.JIT() {
+		r.needsBackup = sb.NeedsBackup
 	}
 	if opt.Source != nil {
 		r.cursor = trace.NewCursor(opt.Source)
@@ -644,7 +608,7 @@ func (r *runner) preInstrEvents() (handled bool, err error) {
 	p, s, core, led, cap := &r.p, r.s, r.core, r.led, r.cap
 	jit := s.JIT()
 	// Structural backup request (NvMR rename-table full).
-	if jit && s.NeedsBackup() {
+	if r.backupRequested() {
 		before := led.Total()
 		bcost := s.Backup(r.now, &core.Regs, core.PC)
 		r.tr.Emit(telemetry.EvBackup, r.now, core.PC, bcost.Ns, 0, 0)
@@ -713,6 +677,9 @@ func (r *runner) stepPrecise() {
 		r.preStepEmit()
 	}
 	before := r.led.Total()
+	// The fetch energy lands before the instruction's memory-system
+	// call, the order the fused loops keep too (+0 for cached schemes).
+	r.led.NVM += r.timing.Fetch.NVM
 	ns, cl := r.core.StepFast(r.now, r.ms, r.timing)
 	r.led.Compute += r.instrEnergy(ns)
 	if r.cursor != nil {
@@ -792,7 +759,7 @@ func (r *runner) runOutageFree() error {
 			}
 		}
 		ns, n, delim := core.RunUntraced(now, ms, timing,
-			r.eInstrByNs, r.p.EInstr, r.p.PRun, &led.Compute, lim)
+			r.eInstrByNs, r.p.EInstr, r.p.PRun, led, lim)
 		now += ns
 		runNs += ns
 		if delim {
@@ -873,10 +840,10 @@ func (r *runner) epochBudget(jit bool) float64 {
 // structural backup request, on halt, or at the instruction budget. A
 // backup request pending at entry ends the epoch before any instruction
 // retires.
-func (r *runner) runEpoch(jit bool, budget float64) {
+func (r *runner) runEpoch(budget float64) {
 	ledStart := r.led.Total()
 	var epochNs int64
-	if !(jit && r.s.NeedsBackup()) {
+	if !r.backupRequested() {
 		ec := &r.ec
 		ec.LedStart, ec.Budget, ec.SegRem = ledStart, budget, r.cursor.SegmentRemaining()
 		ec.RegionInstrs = r.regionInstrs
@@ -905,8 +872,7 @@ func (r *runner) runBatched() error {
 		EInstr:      r.p.EInstr,
 		PRun:        r.p.PRun,
 		Max:         r.opt.MaxInstructions,
-		Jit:         jit,
-		NeedsBackup: r.s.NeedsBackup,
+		NeedsBackup: r.needsBackup,
 		Led:         r.led,
 		MaxInstrNs:  epochMaxInstrNs,
 		OnRegionEnd: r.res.RegionSizes.Add,
@@ -932,7 +898,7 @@ func (r *runner) runBatched() error {
 			if err := r.checkCancel(); err != nil {
 				return err
 			}
-			r.runEpoch(jit, budget)
+			r.runEpoch(budget)
 		} else {
 			r.stepPrecise()
 		}

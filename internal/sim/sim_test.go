@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -190,5 +191,47 @@ func TestInitNVMLoadsImage(t *testing.T) {
 	}
 	if !found {
 		t.Error("data image not loaded")
+	}
+}
+
+// TestInitNVMBuildsImageOnce boots the same binary from several
+// goroutines at once, as an experiment pool does, and then once more: the
+// coalesced image lives on the Linked, so it is built once and reused
+// (not rebuilt) by every later boot, and all boots yield byte-identical
+// NVM.
+func TestInitNVMBuildsImageOnce(t *testing.T) {
+	l := compiled(t, "sha", arch.NVP)
+	boots := make([]arch.Scheme, 4)
+	var wg sync.WaitGroup
+	for i := range boots {
+		boots[i] = arch.New(arch.NVP, config.Default())
+		wg.Add(1)
+		go func(s arch.Scheme) {
+			defer wg.Done()
+			InitNVM(s, l)
+		}(boots[i])
+	}
+	wg.Wait()
+	first := l.Image()
+	last := arch.New(arch.NVP, config.Default())
+	InitNVM(last, l)
+	if again := l.Image(); len(again) == 0 || &again[0] != &first[0] {
+		t.Error("a later boot rebuilt the NVM image")
+	}
+	for _, s := range boots {
+		if !s.NVM().Equal(last.NVM()) {
+			t.Errorf("boots differ at %#x", s.NVM().FirstDiff(last.NVM()))
+		}
+	}
+}
+
+// TestOnlyNvMRRequestsStructuralBackups: the engine consults NeedsBackup
+// only for schemes that implement it, so NvMR must and no other may.
+func TestOnlyNvMRRequestsStructuralBackups(t *testing.T) {
+	for _, k := range arch.AllKinds() {
+		_, ok := arch.New(k, config.Default()).(structuralBackup)
+		if ok != (k == arch.NvMR) {
+			t.Errorf("%v implements structuralBackup = %v", k, ok)
+		}
 	}
 }

@@ -23,7 +23,7 @@ trap 'rm -f "$tmp"' EXIT
 # -cpu 1 keeps the names free of a -N GOMAXPROCS suffix, matching the
 # baseline taken at GOMAXPROCS=1; -count 5 takes five samples per
 # benchmark, which benchjson collapses to their median.
-go test -run '^$' -cpu 1 -count 5 -bench 'BenchmarkEngineStep|BenchmarkRunOutageFree|BenchmarkRunRFHome' . \
+go test -run '^$' -cpu 1 -count 5 -bench 'BenchmarkEngineStep|BenchmarkRunOutageFree|BenchmarkRunRFHome|BenchmarkRunRFHomeNVP' . \
   | go run ./cmd/benchjson -o "$tmp"
 
 go run ./cmd/benchcheck -baseline BENCH_engine.json -current "$tmp" "$@"
