@@ -10,7 +10,9 @@
 //	go run ./cmd/benchcheck -baseline BENCH_engine.json -current fresh.json -warn-only
 //
 // The default metric, sim-instrs/s, is higher-better; pass
-// -higher-better=false for latency metrics like ns/op.
+// -higher-better=false for latency metrics like ns/op. Each line also
+// prints the min..max sample range behind both medians when the
+// documents carry one (benchjson over -count N output).
 package main
 
 import (
@@ -73,6 +75,14 @@ func main() {
 		attrs := []any{
 			"bench", d.Name, "metric", *metric,
 			"baseline", d.Base, "current", d.Current, "change", d.Change(),
+		}
+		// The sample spread behind each median: a change inside it is
+		// noise on this host, whatever the bound says.
+		if d.BaseRange != "" {
+			attrs = append(attrs, "baseline_range", d.BaseRange)
+		}
+		if d.CurRange != "" {
+			attrs = append(attrs, "current_range", d.CurRange)
 		}
 		if d.Regressed {
 			regressed++

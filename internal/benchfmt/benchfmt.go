@@ -15,11 +15,17 @@ import (
 	"strings"
 )
 
-// Result is one parsed benchmark line.
+// Result is one parsed benchmark line, or the median of a benchmark's
+// repeated lines.
 type Result struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+	// Min and Max hold each metric's smallest and largest sample when
+	// the benchmark ran more than once (-count N): the spread the
+	// median in Metrics was taken from.
+	Min map[string]float64 `json:"min,omitempty"`
+	Max map[string]float64 `json:"max,omitempty"`
 }
 
 // Doc is one archived benchmark run: the non-benchmark header lines
@@ -57,7 +63,8 @@ func ParseLine(line string) (Result, bool) {
 // cpu) land in Context; everything else (PASS/ok trailers) is dropped.
 // A benchmark repeated under -count N collapses to one Result, in order
 // of first appearance, carrying the median of each metric and of the
-// iteration counts.
+// iteration counts, with each metric's smallest and largest sample in
+// Min and Max.
 func Parse(r io.Reader) (*Doc, error) {
 	doc := &Doc{Context: map[string]string{}, Results: []Result{}}
 	samples := map[string][]Result{}
@@ -87,7 +94,8 @@ func Parse(r io.Reader) (*Doc, error) {
 }
 
 // medianResult collapses one benchmark's samples: every metric, and the
-// iteration count, becomes its median over the samples that carry it.
+// iteration count, becomes its median over the samples that carry it;
+// Min and Max keep each metric's extremes.
 func medianResult(rs []Result) Result {
 	if len(rs) == 1 {
 		return rs[0]
@@ -100,9 +108,11 @@ func medianResult(rs []Result) Result {
 			vals[k] = append(vals[k], v)
 		}
 	}
-	out := Result{Name: rs[0].Name, Iterations: int64(median(iters)), Metrics: map[string]float64{}}
+	out := Result{Name: rs[0].Name, Iterations: int64(median(iters)), Metrics: map[string]float64{},
+		Min: map[string]float64{}, Max: map[string]float64{}}
 	for k, v := range vals {
-		out.Metrics[k] = median(v)
+		out.Metrics[k] = median(v) // sorts v
+		out.Min[k], out.Max[k] = v[0], v[len(v)-1]
 	}
 	return out
 }
@@ -180,11 +190,26 @@ type Delta struct {
 	Current   float64
 	Ratio     float64 // Current / Base
 	Regressed bool
+	// BaseRange and CurRange render each side's sample spread ("lo..hi"),
+	// or "" when that document holds a single sample.
+	BaseRange string
+	CurRange  string
 }
 
 // Change renders the relative change as a signed percentage.
 func (d Delta) Change() string {
 	return fmt.Sprintf("%+.1f%%", (d.Ratio-1)*100)
+}
+
+// rangeString renders the metric's sample spread, or "" when the entry
+// holds a single sample.
+func (r *Result) rangeString(metric string) string {
+	lo, okLo := r.Min[metric]
+	hi, okHi := r.Max[metric]
+	if !okLo || !okHi {
+		return ""
+	}
+	return fmt.Sprintf("%g..%g", lo, hi)
 }
 
 // Compare diffs every baseline benchmark carrying the metric against the
@@ -215,7 +240,8 @@ func Compare(base, cur *Doc, metric string, tolerance float64, higherBetter bool
 		if bv == 0 {
 			return nil, fmt.Errorf("benchfmt: baseline %s has zero %s", b.Name, metric)
 		}
-		d := Delta{Name: b.Name, Base: bv, Current: cv, Ratio: cv / bv}
+		d := Delta{Name: b.Name, Base: bv, Current: cv, Ratio: cv / bv,
+			BaseRange: b.rangeString(metric), CurRange: c.rangeString(metric)}
 		if higherBetter {
 			d.Regressed = d.Ratio < 1-tolerance
 		} else {

@@ -1,6 +1,7 @@
 package benchfmt
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -68,6 +69,47 @@ PASS
 	b := doc.Results[1]
 	if b.Iterations != 8 || b.Metrics["ns/op"] != 2 {
 		t.Fatalf("B (even count): %+v, want the mean of the two middle samples", b)
+	}
+	// The spread survives beside the median, and through a JSON round trip.
+	if lo, hi := a.Min["sim-instrs/s"], a.Max["sim-instrs/s"]; lo != 100 || hi != 900 {
+		t.Fatalf("A sim-instrs/s range = %g..%g, want 100..900", lo, hi)
+	}
+	if lo, hi := b.Min["ns/op"], b.Max["ns/op"]; lo != 1 || hi != 3 {
+		t.Fatalf("B ns/op range = %g..%g, want 1..3", lo, hi)
+	}
+	enc, err := doc.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Doc
+	if err := json.Unmarshal(enc, &back); err != nil {
+		t.Fatal(err)
+	}
+	if r := back.Results[0]; r.Min["ns/op"] != 10 || r.Max["ns/op"] != 30 {
+		t.Fatalf("round-tripped A ns/op range = %g..%g, want 10..30", r.Min["ns/op"], r.Max["ns/op"])
+	}
+	deltas, err := Compare(doc, &back, "sim-instrs/s", 0.15, true)
+	if err != nil || len(deltas) != 1 || deltas[0].BaseRange != "100..900" || deltas[0].CurRange != "100..900" {
+		t.Fatalf("Compare ranges: %+v, %v", deltas, err)
+	}
+}
+
+// A single sample carries no spread: no min/max keys in its JSON, and no
+// range in a comparison.
+func TestSingleSampleHasNoRange(t *testing.T) {
+	doc, err := Parse(strings.NewReader("BenchmarkA 100 10 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deltas, err := Compare(doc, doc, "ns/op", 0.15, false); err != nil || deltas[0].BaseRange != "" || deltas[0].CurRange != "" {
+		t.Fatalf("single-sample comparison: %+v, %v", deltas, err)
+	}
+	enc, err := doc.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(enc), `"min"`) || strings.Contains(string(enc), `"max"`) {
+		t.Fatalf("single-sample JSON carries a spread:\n%s", enc)
 	}
 }
 

@@ -119,6 +119,10 @@ type StepTiming struct {
 // returned time includes t.Fetch.Ns; the fetch energy t.Fetch.NVM is the
 // caller's to charge, before the call. It panics on malformed code (the
 // linker guarantees well-formed programs).
+//
+// StepFast is the reference the fused loops are checked against: every
+// ALU op and branch they compute inline goes through the generic
+// evaluators (EvalALU, BranchTaken) here.
 func (c *CPU) StepFast(now int64, ms MemSystem, t StepTiming) (int64, isa.Class) {
 	if c.Halted {
 		return 0, isa.ClassHalt
@@ -157,7 +161,7 @@ func (c *CPU) StepFast(now int64, ms MemSystem, t StepTiming) (int64, isa.Class)
 	case isa.ClassALURRDiv:
 		c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], c.Regs[d.Src2])
 		ns += (t.DivCycles - 1) * t.CycleNs
-	case isa.ClassALURI:
+	case isa.ClassShlI, isa.ClassShrI, isa.ClassSarI:
 		c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], d.Imm)
 	case isa.ClassALURIMul:
 		c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], d.Imm)
@@ -194,7 +198,7 @@ func (c *CPU) StepFast(now int64, ms MemSystem, t StepTiming) (int64, isa.Class)
 		if c.Regs[d.Src1] != c.Regs[d.Src2] {
 			next = int64(d.Target)
 		}
-	case isa.ClassBranch:
+	case isa.ClassBlt, isa.ClassBge, isa.ClassBranch:
 		c.Counts.Branches++
 		if isa.BranchTaken(d.Op, c.Regs[d.Src1], c.Regs[d.Src2]) {
 			next = int64(d.Target)
@@ -239,13 +243,13 @@ func (c *CPU) StepFast(now int64, ms MemSystem, t StepTiming) (int64, isa.Class)
 func (c *CPU) ClassAt(pc int64) isa.Class { return c.dec[pc].Class }
 
 // RunUntraced is the engine's fused outage-free inner loop: it retires
-// instructions back-to-back — keeping PC and the executed counter in
-// locals instead of reloading them through c on every StepFast call — until
-// the program halts, the instruction budget max would be exceeded, or a
-// region-delimiting instruction (region end / fence) retires, which the
-// caller observes for region-size bookkeeping. It returns the elapsed
-// time, the number of instructions retired, and whether the stop was a
-// region delimiter.
+// instructions back-to-back — keeping PC and the remaining instruction
+// budget in locals instead of reloading them through c on every StepFast
+// call — until the program halts, the instruction budget max would be
+// exceeded, or a region-delimiting instruction (region end / fence)
+// retires, which the caller observes for region-size bookkeeping. It
+// returns the elapsed time, the number of instructions retired, and
+// whether the stop was a region delimiter.
 //
 // Each instruction first adds the fetch energy t.Fetch.NVM to led.NVM,
 // then runs, then adds the engine's per-instruction charge to
@@ -255,15 +259,28 @@ func (c *CPU) ClassAt(pc int64) isa.Class { return c.dec[pc].Class }
 // (For schemes that fetch for free the NVM add is of +0, which leaves the
 // non-negative field's bits unchanged.)
 //
-// The dispatch switch below must stay in step with StepFast; the
-// traced-versus-untraced matrix test in internal/sim pins the
-// equivalence.
+// The loop is split in two. The inner loop retires the classes whose
+// isa.ClassFlags byte is zero — the hot pure-compute ones, computed
+// inline — and contains no function call, so the Go compiler keeps its
+// state (pc, the budget countdown, now, comp, nvm) in registers instead
+// of spilling it before every dispatch (the internal ABI has no
+// callee-saved registers). Every other class leaves it for one pass
+// through the slow path's switch; each class has a case in exactly one of
+// the two. Both must stay in step with StepFast; the fused-loop tests in
+// this package and the traced-versus-untraced matrix test in internal/sim
+// pin the equivalence.
 func (c *CPU) RunUntraced(now int64, ms MemSystem, t StepTiming, eByNs []float64, eInstr, pRun float64, led *energy.Ledger, max uint64) (elapsed int64, instrs int, delim bool) {
 	if c.Halted {
 		return 0, 0, false
 	}
 	pc := c.PC
-	executed := c.Counts.Executed
+	// left counts down the instructions the budget max still allows, so
+	// the loop carries one counter instead of executed and max.
+	var left uint64
+	if max > c.Counts.Executed {
+		left = max - c.Counts.Executed
+	}
+	startLeft := left
 	// dec lives in a local so the memory-system calls — which could alias
 	// c for all the compiler knows — don't force per-iteration reloads.
 	// comp and nvm shadow led.Compute and led.NVM in registers: both are
@@ -273,111 +290,138 @@ func (c *CPU) RunUntraced(now int64, ms MemSystem, t StepTiming, eByNs []float64
 	// kept between adds differs.
 	dec := c.dec
 	baseNs, fetchE := t.CycleNs+t.Fetch.Ns, t.Fetch.NVM
+	mulNs, divNs := (t.MulCycles-1)*t.CycleNs, (t.DivCycles-1)*t.CycleNs
 	comp, nvm := led.Compute, led.NVM
 	// now is the only clock accumulator (elapsed = now-start) and the
-	// retire count is derived from the executed delta on exit.
+	// retire count is derived from the countdown on exit.
 	start := now
-	startExec := executed
-	for executed < max {
-		d := &dec[pc]
+run:
+	for {
+		for {
+			if left == 0 {
+				break run
+			}
+			d := &dec[pc]
+			if isa.ClassFlags[d.Class] != 0 {
+				break
+			}
+			ns := baseNs
+			nvm += fetchE
+			next := pc + 1
+			left--
+
+			switch d.Class {
+			// ClassNop has no case: it only retires.
+			case isa.ClassAdd:
+				c.Regs[d.Dst] = c.Regs[d.Src1] + c.Regs[d.Src2]
+			case isa.ClassSub:
+				c.Regs[d.Dst] = c.Regs[d.Src1] - c.Regs[d.Src2]
+			case isa.ClassAnd:
+				c.Regs[d.Dst] = c.Regs[d.Src1] & c.Regs[d.Src2]
+			case isa.ClassOr:
+				c.Regs[d.Dst] = c.Regs[d.Src1] | c.Regs[d.Src2]
+			case isa.ClassXor:
+				c.Regs[d.Dst] = c.Regs[d.Src1] ^ c.Regs[d.Src2]
+			case isa.ClassAddI:
+				c.Regs[d.Dst] = c.Regs[d.Src1] + d.Imm
+			case isa.ClassAndI:
+				c.Regs[d.Dst] = c.Regs[d.Src1] & d.Imm
+			case isa.ClassOrI:
+				c.Regs[d.Dst] = c.Regs[d.Src1] | d.Imm
+			case isa.ClassXorI:
+				c.Regs[d.Dst] = c.Regs[d.Src1] ^ d.Imm
+			case isa.ClassShlI:
+				c.Regs[d.Dst] = c.Regs[d.Src1] << (uint64(d.Imm) & 63)
+			case isa.ClassShrI:
+				c.Regs[d.Dst] = int64(uint64(c.Regs[d.Src1]) >> (uint64(d.Imm) & 63))
+			case isa.ClassSarI:
+				c.Regs[d.Dst] = c.Regs[d.Src1] >> (uint64(d.Imm) & 63)
+			case isa.ClassALURRMul:
+				c.Regs[d.Dst] = c.Regs[d.Src1] * c.Regs[d.Src2]
+				ns += mulNs
+			case isa.ClassALURIMul:
+				c.Regs[d.Dst] = c.Regs[d.Src1] * d.Imm
+				ns += mulNs
+			case isa.ClassMovI:
+				c.Regs[d.Dst] = d.Imm
+			case isa.ClassMov:
+				c.Regs[d.Dst] = c.Regs[d.Src1]
+			case isa.ClassBeq:
+				c.Counts.Branches++
+				if c.Regs[d.Src1] == c.Regs[d.Src2] {
+					next = int64(d.Target)
+				}
+			case isa.ClassBne:
+				c.Counts.Branches++
+				if c.Regs[d.Src1] != c.Regs[d.Src2] {
+					next = int64(d.Target)
+				}
+			case isa.ClassBlt:
+				c.Counts.Branches++
+				if c.Regs[d.Src1] < c.Regs[d.Src2] {
+					next = int64(d.Target)
+				}
+			case isa.ClassBge:
+				c.Counts.Branches++
+				if c.Regs[d.Src1] >= c.Regs[d.Src2] {
+					next = int64(d.Target)
+				}
+			case isa.ClassJmp:
+				next = int64(d.Target)
+			case isa.ClassCall:
+				c.Counts.Calls++
+				c.Regs[isa.LR] = pc + 1
+				next = int64(d.Target)
+			case isa.ClassRet:
+				next = c.Regs[isa.LR]
+			}
+
+			pc = next
+			if ns < int64(len(eByNs)) {
+				comp += eByNs[ns]
+			} else {
+				comp += eInstr + pRun*float64(ns)*1e-9
+			}
+			now += ns
+		}
+
+		// Slow path: one instruction of a flagged class. d is a copy, so
+		// the inner loop's pointer into dec is not live across the calls
+		// below and needs no spill slot.
+		d := dec[pc]
 		ns := baseNs
 		nvm += fetchE
 		next := pc + 1
-		executed++
+		left--
 
 		switch d.Class {
-		case isa.ClassNop:
-
-		case isa.ClassAdd:
-			c.Regs[d.Dst] = c.Regs[d.Src1] + c.Regs[d.Src2]
-		case isa.ClassSub:
-			c.Regs[d.Dst] = c.Regs[d.Src1] - c.Regs[d.Src2]
-		case isa.ClassAnd:
-			c.Regs[d.Dst] = c.Regs[d.Src1] & c.Regs[d.Src2]
-		case isa.ClassOr:
-			c.Regs[d.Dst] = c.Regs[d.Src1] | c.Regs[d.Src2]
-		case isa.ClassXor:
-			c.Regs[d.Dst] = c.Regs[d.Src1] ^ c.Regs[d.Src2]
-		case isa.ClassAddI:
-			c.Regs[d.Dst] = c.Regs[d.Src1] + d.Imm
-		case isa.ClassAndI:
-			c.Regs[d.Dst] = c.Regs[d.Src1] & d.Imm
-		case isa.ClassOrI:
-			c.Regs[d.Dst] = c.Regs[d.Src1] | d.Imm
-		case isa.ClassXorI:
-			c.Regs[d.Dst] = c.Regs[d.Src1] ^ d.Imm
-		case isa.ClassALURR:
+		case isa.ClassALURR, isa.ClassALURRDiv:
 			c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], c.Regs[d.Src2])
-		case isa.ClassALURRMul:
-			c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], c.Regs[d.Src2])
-			ns += (t.MulCycles - 1) * t.CycleNs
-		case isa.ClassALURRDiv:
-			c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], c.Regs[d.Src2])
-			ns += (t.DivCycles - 1) * t.CycleNs
-		case isa.ClassALURI:
-			c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], d.Imm)
-		case isa.ClassALURIMul:
-			c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], d.Imm)
-			ns += (t.MulCycles - 1) * t.CycleNs
-		case isa.ClassMovI:
-			c.Regs[d.Dst] = d.Imm
-		case isa.ClassMov:
-			c.Regs[d.Dst] = c.Regs[d.Src1]
-
-		case isa.ClassLd:
-			c.Counts.Loads++
-			led.Compute, led.NVM = comp, nvm
-			v, mc := ms.Load(now+ns, c.Regs[d.Src1]+d.Imm, false)
-			comp, nvm = led.Compute, led.NVM
-			c.Regs[d.Dst] = v
-			ns += mc.Ns
-		case isa.ClassLdB:
-			c.Counts.Loads++
-			led.Compute, led.NVM = comp, nvm
-			v, mc := ms.Load(now+ns, c.Regs[d.Src1]+d.Imm, true)
-			comp, nvm = led.Compute, led.NVM
-			c.Regs[d.Dst] = v
-			ns += mc.Ns
-		case isa.ClassSt:
-			c.Counts.Stores++
-			led.Compute, led.NVM = comp, nvm
-			mc := ms.Store(now+ns, c.Regs[d.Src1]+d.Imm, c.Regs[d.Src2], false)
-			comp, nvm = led.Compute, led.NVM
-			ns += mc.Ns
-		case isa.ClassStB:
-			c.Counts.Stores++
-			led.Compute, led.NVM = comp, nvm
-			mc := ms.Store(now+ns, c.Regs[d.Src1]+d.Imm, c.Regs[d.Src2], true)
-			comp, nvm = led.Compute, led.NVM
-			ns += mc.Ns
-
-		case isa.ClassBeq:
-			c.Counts.Branches++
-			if c.Regs[d.Src1] == c.Regs[d.Src2] {
-				next = int64(d.Target)
-			}
-		case isa.ClassBne:
-			c.Counts.Branches++
-			if c.Regs[d.Src1] != c.Regs[d.Src2] {
-				next = int64(d.Target)
+			if d.Class == isa.ClassALURRDiv {
+				ns += divNs
 			}
 		case isa.ClassBranch:
 			c.Counts.Branches++
 			if isa.BranchTaken(d.Op, c.Regs[d.Src1], c.Regs[d.Src2]) {
 				next = int64(d.Target)
 			}
-		case isa.ClassJmp:
-			next = int64(d.Target)
-		case isa.ClassCall:
-			c.Counts.Calls++
-			c.Regs[isa.LR] = pc + 1
-			next = int64(d.Target)
-		case isa.ClassRet:
-			next = c.Regs[isa.LR]
 		case isa.ClassHalt:
 			c.Halted = true
 			next = pc
 
+		case isa.ClassLd, isa.ClassLdB:
+			c.Counts.Loads++
+			led.Compute, led.NVM = comp, nvm
+			v, mc := ms.Load(now+ns, c.Regs[d.Src1]+d.Imm, d.Class == isa.ClassLdB)
+			comp, nvm = led.Compute, led.NVM
+			c.Regs[d.Dst] = v
+			ns += mc.Ns
+		case isa.ClassSt, isa.ClassStB:
+			c.Counts.Stores++
+			led.Compute, led.NVM = comp, nvm
+			mc := ms.Store(now+ns, c.Regs[d.Src1]+d.Imm, c.Regs[d.Src2], d.Class == isa.ClassStB)
+			comp, nvm = led.Compute, led.NVM
+			ns += mc.Ns
 		case isa.ClassCkptSt:
 			c.Counts.CkptStores++
 			led.Compute, led.NVM = comp, nvm
@@ -425,10 +469,11 @@ func (c *CPU) RunUntraced(now int64, ms MemSystem, t StepTiming, eByNs []float64
 			break
 		}
 	}
+	n := startLeft - left
 	c.PC = pc
-	c.Counts.Executed = executed
+	c.Counts.Executed += n
 	led.Compute, led.NVM = comp, nvm
-	return now - start, int(executed - startExec), delim
+	return now - start, int(n), delim
 }
 
 // EpochControl parameterizes RunEpoch, the fused harvested-power inner
@@ -474,8 +519,8 @@ func watermarks(comp, nvm, tt, ledStart, budget float64) (cSafe, nSafe float64) 
 }
 
 // RunEpoch retires one epoch's instructions back-to-back, with PC and the
-// executed counter in locals. It stops on a structural backup request, at
-// the instruction budget, on halt, on an instruction at the
+// remaining instruction budget in locals. It stops on a structural backup
+// request, at the instruction budget, on halt, on an instruction at the
 // single-instruction latency bound, when the next instruction might not
 // fit in the power-trace segment, or when the ledger delta reaches the
 // epoch budget. It returns the elapsed time and the updated running
@@ -499,12 +544,15 @@ func watermarks(comp, nvm, tt, ledStart, budget float64) (cSafe, nSafe float64) 
 // must not invoke RunEpoch on a halted core or with a pending backup
 // request.
 //
-// The dispatch switch must stay in step with StepFast; the
-// traced-versus-untraced matrix test in internal/sim pins the equivalence.
+// The loop is split as in RunUntraced: a call-free inner loop over the
+// unflagged pure-compute classes, which keeps every per-instruction check
+// (latency bound, segment deadline, watermarks and the inlined exact
+// fold), and a slow path for one instruction of any other class. The
+// generic pure-compute classes (isa.FlagGeneric) take the inner loop's
+// watermark skip there too, so the folds happen on exactly the
+// instructions they did when one loop handled every class.
 func (c *CPU) RunEpoch(now int64, ms MemSystem, t StepTiming, ec *EpochControl) (elapsed int64, ri int) {
 	pc := c.PC
-	executed := c.Counts.Executed
-	ri = ec.RegionInstrs
 	led := ec.Led
 	// Hoist the control fields into locals: the closure and ms calls below
 	// could alias ec (or c) for all the compiler knows, so field accesses
@@ -514,11 +562,12 @@ func (c *CPU) RunEpoch(now int64, ms MemSystem, t StepTiming, ec *EpochControl) 
 	// (the only other reader), so the float-add sequence each receives is
 	// unchanged.
 	eByNs, eInstr, pRun := ec.EByNs, ec.EInstr, ec.PRun
-	max, needsBackup := ec.Max, ec.NeedsBackup
+	needsBackup := ec.NeedsBackup
 	ledStart, budget := ec.LedStart, ec.Budget
 	segRem, maxInstrNs := ec.SegRem, ec.MaxInstrNs
 	dec := c.dec
 	baseNs, fetchE := t.CycleNs+t.Fetch.Ns, t.Fetch.NVM
+	mulNs, divNs := (t.MulCycles-1)*t.CycleNs, (t.DivCycles-1)*t.CycleNs
 	comp, nvm := led.Compute, led.NVM
 	// Force an exact budget check on the first instruction.
 	cSafe, nSafe := comp, nvm
@@ -527,106 +576,161 @@ func (c *CPU) RunEpoch(now int64, ms MemSystem, t StepTiming, ec *EpochControl) 
 	// compare against an absolute deadline.
 	start := now
 	segDeadline := now + segRem - maxInstrNs
-	for executed < max {
-		d := &dec[pc]
+	// left counts down the instructions the budget ec.Max still allows,
+	// as in RunUntraced. The running region length is regionLeft-left:
+	// every retired instruction but a delimiter extends the region, so
+	// only the delimiters (slow path) move regionLeft and the inner loop
+	// keeps no region counter.
+	var left uint64
+	if ec.Max > c.Counts.Executed {
+		left = ec.Max - c.Counts.Executed
+	}
+	startLeft := left
+	regionLeft := left + uint64(ec.RegionInstrs)
+epoch:
+	for {
+		for {
+			if left == 0 {
+				break epoch
+			}
+			d := &dec[pc]
+			if isa.ClassFlags[d.Class] != 0 {
+				break
+			}
+			ns := baseNs
+			nvm += fetchE
+			next := pc + 1
+			left--
+
+			switch d.Class {
+			// ClassNop has no case: it only retires.
+			case isa.ClassAdd:
+				c.Regs[d.Dst] = c.Regs[d.Src1] + c.Regs[d.Src2]
+			case isa.ClassSub:
+				c.Regs[d.Dst] = c.Regs[d.Src1] - c.Regs[d.Src2]
+			case isa.ClassAnd:
+				c.Regs[d.Dst] = c.Regs[d.Src1] & c.Regs[d.Src2]
+			case isa.ClassOr:
+				c.Regs[d.Dst] = c.Regs[d.Src1] | c.Regs[d.Src2]
+			case isa.ClassXor:
+				c.Regs[d.Dst] = c.Regs[d.Src1] ^ c.Regs[d.Src2]
+			case isa.ClassAddI:
+				c.Regs[d.Dst] = c.Regs[d.Src1] + d.Imm
+			case isa.ClassAndI:
+				c.Regs[d.Dst] = c.Regs[d.Src1] & d.Imm
+			case isa.ClassOrI:
+				c.Regs[d.Dst] = c.Regs[d.Src1] | d.Imm
+			case isa.ClassXorI:
+				c.Regs[d.Dst] = c.Regs[d.Src1] ^ d.Imm
+			case isa.ClassShlI:
+				c.Regs[d.Dst] = c.Regs[d.Src1] << (uint64(d.Imm) & 63)
+			case isa.ClassShrI:
+				c.Regs[d.Dst] = int64(uint64(c.Regs[d.Src1]) >> (uint64(d.Imm) & 63))
+			case isa.ClassSarI:
+				c.Regs[d.Dst] = c.Regs[d.Src1] >> (uint64(d.Imm) & 63)
+			case isa.ClassALURRMul:
+				c.Regs[d.Dst] = c.Regs[d.Src1] * c.Regs[d.Src2]
+				ns += mulNs
+			case isa.ClassALURIMul:
+				c.Regs[d.Dst] = c.Regs[d.Src1] * d.Imm
+				ns += mulNs
+			case isa.ClassMovI:
+				c.Regs[d.Dst] = d.Imm
+			case isa.ClassMov:
+				c.Regs[d.Dst] = c.Regs[d.Src1]
+			case isa.ClassBeq:
+				c.Counts.Branches++
+				if c.Regs[d.Src1] == c.Regs[d.Src2] {
+					next = int64(d.Target)
+				}
+			case isa.ClassBne:
+				c.Counts.Branches++
+				if c.Regs[d.Src1] != c.Regs[d.Src2] {
+					next = int64(d.Target)
+				}
+			case isa.ClassBlt:
+				c.Counts.Branches++
+				if c.Regs[d.Src1] < c.Regs[d.Src2] {
+					next = int64(d.Target)
+				}
+			case isa.ClassBge:
+				c.Counts.Branches++
+				if c.Regs[d.Src1] >= c.Regs[d.Src2] {
+					next = int64(d.Target)
+				}
+			case isa.ClassJmp:
+				next = int64(d.Target)
+			case isa.ClassCall:
+				c.Counts.Calls++
+				c.Regs[isa.LR] = pc + 1
+				next = int64(d.Target)
+			case isa.ClassRet:
+				next = c.Regs[isa.LR]
+			}
+
+			pc = next
+			if ns < int64(len(eByNs)) {
+				comp += eByNs[ns]
+			} else {
+				comp += eInstr + pRun*float64(ns)*1e-9
+			}
+			now += ns
+			// Not a delimiter, cannot halt, cannot touch the memory
+			// system — so scheme state is unchanged and the budget
+			// comparison is skippable while Compute and NVM stay below
+			// their watermarks. The latency-bound and segment-deadline
+			// compares are the same tests as in the slow path.
+			if ns >= maxInstrNs || now >= segDeadline {
+				break epoch
+			}
+			if comp < cSafe && nvm < nSafe {
+				continue
+			}
+			led.Compute, led.NVM = comp, nvm // the fold reads the live fields
+			tt := led.Total()
+			if tt-ledStart >= budget {
+				break epoch
+			}
+			cSafe, nSafe = watermarks(comp, nvm, tt, ledStart, budget)
+		}
+
+		// Slow path: one instruction of a flagged class. d is a copy, so
+		// the inner loop's pointer into dec is not live across the calls
+		// below and needs no spill slot.
+		d := dec[pc]
 		ns := baseNs
 		nvm += fetchE
 		next := pc + 1
-		executed++
+		left--
 
 		switch d.Class {
-		case isa.ClassNop:
-
-		case isa.ClassAdd:
-			c.Regs[d.Dst] = c.Regs[d.Src1] + c.Regs[d.Src2]
-		case isa.ClassSub:
-			c.Regs[d.Dst] = c.Regs[d.Src1] - c.Regs[d.Src2]
-		case isa.ClassAnd:
-			c.Regs[d.Dst] = c.Regs[d.Src1] & c.Regs[d.Src2]
-		case isa.ClassOr:
-			c.Regs[d.Dst] = c.Regs[d.Src1] | c.Regs[d.Src2]
-		case isa.ClassXor:
-			c.Regs[d.Dst] = c.Regs[d.Src1] ^ c.Regs[d.Src2]
-		case isa.ClassAddI:
-			c.Regs[d.Dst] = c.Regs[d.Src1] + d.Imm
-		case isa.ClassAndI:
-			c.Regs[d.Dst] = c.Regs[d.Src1] & d.Imm
-		case isa.ClassOrI:
-			c.Regs[d.Dst] = c.Regs[d.Src1] | d.Imm
-		case isa.ClassXorI:
-			c.Regs[d.Dst] = c.Regs[d.Src1] ^ d.Imm
-		case isa.ClassALURR:
+		case isa.ClassALURR, isa.ClassALURRDiv:
 			c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], c.Regs[d.Src2])
-		case isa.ClassALURRMul:
-			c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], c.Regs[d.Src2])
-			ns += (t.MulCycles - 1) * t.CycleNs
-		case isa.ClassALURRDiv:
-			c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], c.Regs[d.Src2])
-			ns += (t.DivCycles - 1) * t.CycleNs
-		case isa.ClassALURI:
-			c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], d.Imm)
-		case isa.ClassALURIMul:
-			c.Regs[d.Dst] = isa.EvalALU(d.Op, c.Regs[d.Src1], d.Imm)
-			ns += (t.MulCycles - 1) * t.CycleNs
-		case isa.ClassMovI:
-			c.Regs[d.Dst] = d.Imm
-		case isa.ClassMov:
-			c.Regs[d.Dst] = c.Regs[d.Src1]
-
-		case isa.ClassLd:
-			c.Counts.Loads++
-			led.Compute, led.NVM = comp, nvm
-			v, mc := ms.Load(now+ns, c.Regs[d.Src1]+d.Imm, false)
-			comp, nvm = led.Compute, led.NVM
-			c.Regs[d.Dst] = v
-			ns += mc.Ns
-		case isa.ClassLdB:
-			c.Counts.Loads++
-			led.Compute, led.NVM = comp, nvm
-			v, mc := ms.Load(now+ns, c.Regs[d.Src1]+d.Imm, true)
-			comp, nvm = led.Compute, led.NVM
-			c.Regs[d.Dst] = v
-			ns += mc.Ns
-		case isa.ClassSt:
-			c.Counts.Stores++
-			led.Compute, led.NVM = comp, nvm
-			mc := ms.Store(now+ns, c.Regs[d.Src1]+d.Imm, c.Regs[d.Src2], false)
-			comp, nvm = led.Compute, led.NVM
-			ns += mc.Ns
-		case isa.ClassStB:
-			c.Counts.Stores++
-			led.Compute, led.NVM = comp, nvm
-			mc := ms.Store(now+ns, c.Regs[d.Src1]+d.Imm, c.Regs[d.Src2], true)
-			comp, nvm = led.Compute, led.NVM
-			ns += mc.Ns
-
-		case isa.ClassBeq:
-			c.Counts.Branches++
-			if c.Regs[d.Src1] == c.Regs[d.Src2] {
-				next = int64(d.Target)
-			}
-		case isa.ClassBne:
-			c.Counts.Branches++
-			if c.Regs[d.Src1] != c.Regs[d.Src2] {
-				next = int64(d.Target)
+			if d.Class == isa.ClassALURRDiv {
+				ns += divNs
 			}
 		case isa.ClassBranch:
 			c.Counts.Branches++
 			if isa.BranchTaken(d.Op, c.Regs[d.Src1], c.Regs[d.Src2]) {
 				next = int64(d.Target)
 			}
-		case isa.ClassJmp:
-			next = int64(d.Target)
-		case isa.ClassCall:
-			c.Counts.Calls++
-			c.Regs[isa.LR] = pc + 1
-			next = int64(d.Target)
-		case isa.ClassRet:
-			next = c.Regs[isa.LR]
 		case isa.ClassHalt:
 			c.Halted = true
 			next = pc
 
+		case isa.ClassLd, isa.ClassLdB:
+			c.Counts.Loads++
+			led.Compute, led.NVM = comp, nvm
+			v, mc := ms.Load(now+ns, c.Regs[d.Src1]+d.Imm, d.Class == isa.ClassLdB)
+			comp, nvm = led.Compute, led.NVM
+			c.Regs[d.Dst] = v
+			ns += mc.Ns
+		case isa.ClassSt, isa.ClassStB:
+			c.Counts.Stores++
+			led.Compute, led.NVM = comp, nvm
+			mc := ms.Store(now+ns, c.Regs[d.Src1]+d.Imm, c.Regs[d.Src2], d.Class == isa.ClassStB)
+			comp, nvm = led.Compute, led.NVM
+			ns += mc.Ns
 		case isa.ClassCkptSt:
 			c.Counts.CkptStores++
 			led.Compute, led.NVM = comp, nvm
@@ -670,55 +774,36 @@ func (c *CPU) RunEpoch(now int64, ms MemSystem, t StepTiming, ec *EpochControl) 
 		}
 		now += ns
 
-		cl := d.Class
-		if isa.ClassFlags[cl] == 0 {
-			// Pure-compute fast path: not a delimiter, cannot halt,
-			// cannot touch the memory system — so scheme state is
-			// unchanged and the budget comparison is skippable while
-			// Compute and NVM stay below their watermarks. The
-			// latency-bound and segment-deadline compares are the same
-			// tests as below.
-			ri++
-			if ns >= maxInstrNs || now >= segDeadline {
-				break
-			}
-			if comp < cSafe && nvm < nSafe {
-				continue
-			}
-			led.Compute, led.NVM = comp, nvm // the fold reads the live fields
-			tt := led.Total()
-			if tt-ledStart >= budget {
-				break
-			}
-			cSafe, nSafe = watermarks(comp, nvm, tt, ledStart, budget)
-			continue
+		f := isa.ClassFlags[d.Class]
+		if f&isa.FlagDelim != 0 {
+			// The region ended before this delimiter.
+			ec.OnRegionEnd(int(regionLeft - left - 1))
+			regionLeft = left
 		}
-		if cl == isa.ClassRegionEnd || cl == isa.ClassFence {
-			ec.OnRegionEnd(ri)
-			ri = 0
-		} else {
-			ri++
-		}
-		// cl == ClassHalt iff the core just halted: the core enters the
-		// epoch running and only the Halt case sets Halted.
-		if cl == isa.ClassHalt || ns >= maxInstrNs ||
-			now >= segDeadline {
+		// FlagHalt iff the core just halted: the core enters the epoch
+		// running and only the Halt case sets Halted.
+		if f&isa.FlagHalt != 0 || ns >= maxInstrNs || now >= segDeadline {
 			break
 		}
-		// Every other flagged class entered the memory system, which may
-		// have moved any ledger field: compare exactly.
+		mem := f&isa.FlagMemSystem != 0
+		// A generic pure-compute class moved only Compute and NVM, as in
+		// the inner loop; every memory class may have moved any ledger
+		// field: compare exactly.
+		if !mem && comp < cSafe && nvm < nSafe {
+			continue
+		}
 		led.Compute, led.NVM = comp, nvm
 		tt := led.Total()
 		if tt-ledStart >= budget {
 			break
 		}
 		cSafe, nSafe = watermarks(comp, nvm, tt, ledStart, budget)
-		if needsBackup != nil && needsBackup() {
+		if mem && needsBackup != nil && needsBackup() {
 			break
 		}
 	}
 	c.PC = pc
-	c.Counts.Executed = executed
+	c.Counts.Executed += startLeft - left
 	led.Compute, led.NVM = comp, nvm
-	return now - start, ri
+	return now - start, int(regionLeft - left)
 }

@@ -2,7 +2,9 @@
 // contiguous switch rather than the chained range tests the symbolic Op
 // space requires (IsALURR, IsALURI, ...). Class collapses every opcode
 // into one dispatch class — with multiply and divide split out so the
-// extra-latency lookup needs no second switch — and Decoded carries the
+// extra-latency lookup needs no second switch, and the hot immediate
+// shifts and signed branches given classes of their own so no generic
+// evaluator call sits on the hot path — and Decoded carries the
 // instruction fields pre-extracted. The linker predecodes a program once;
 // every simulation of that binary then dispatches through the table.
 package isa
@@ -10,38 +12,47 @@ package isa
 // Class is the dense dispatch class of an instruction.
 type Class uint8
 
+// The classes the fused interpreter loops retire in their call-free inner
+// loop come first, numbered densely from zero so that loop's jump table
+// stays small; ClassFlags is zero exactly for them.
 const (
 	ClassNop Class = iota
-	// Dedicated classes for the hottest single-cycle ALU ops: the
-	// interpreter computes these inline in its dense switch, with no
-	// second dispatch through EvalALU.
-	ClassAdd  // Dst = Src1 + Src2
-	ClassSub  // Dst = Src1 - Src2
-	ClassAnd  // Dst = Src1 & Src2
-	ClassOr   // Dst = Src1 | Src2
-	ClassXor  // Dst = Src1 ^ Src2
-	ClassAddI // Dst = Src1 + Imm
-	ClassAndI // Dst = Src1 & Imm
-	ClassOrI  // Dst = Src1 | Imm
-	ClassXorI // Dst = Src1 ^ Imm
-	ClassALURR
+	// Dedicated classes for the hot pure-compute ops: the fused loops
+	// compute these inline, with no second dispatch through EvalALU or
+	// BranchTaken.
+	ClassAdd      // Dst = Src1 + Src2
+	ClassSub      // Dst = Src1 - Src2
+	ClassAnd      // Dst = Src1 & Src2
+	ClassOr       // Dst = Src1 | Src2
+	ClassXor      // Dst = Src1 ^ Src2
+	ClassAddI     // Dst = Src1 + Imm
+	ClassAndI     // Dst = Src1 & Imm
+	ClassOrI      // Dst = Src1 | Imm
+	ClassXorI     // Dst = Src1 ^ Imm
+	ClassShlI     // Dst = Src1 << (Imm & 63)
+	ClassShrI     // Dst = Src1 >>> (Imm & 63), logical
+	ClassSarI     // Dst = Src1 >> (Imm & 63), arithmetic
 	ClassALURRMul // Mul: pays the multiplier's extra cycles
-	ClassALURRDiv // Div/Rem: pays the divider's extra cycles
-	ClassALURI
 	ClassALURIMul // MulI
 	ClassMovI
 	ClassMov
+	ClassBeq // taken iff Src1 == Src2
+	ClassBne // taken iff Src1 != Src2
+	ClassBlt // taken iff Src1 < Src2, signed
+	ClassBge // taken iff Src1 >= Src2, signed
+	ClassJmp
+	ClassCall
+	ClassRet
+
+	// The rest leave the inner loop for its slow path.
+	ClassALURR    // shl, shr, sar, slt, sltu, resolved via EvalALU
+	ClassALURRDiv // Div/Rem: pays the divider's extra cycles
+	ClassBranch   // bltu, bgeu, resolved via BranchTaken
+	ClassHalt
 	ClassLd
 	ClassLdB
 	ClassSt
 	ClassStB
-	ClassBeq    // taken iff Src1 == Src2
-	ClassBne    // taken iff Src1 != Src2
-	ClassBranch // remaining comparisons, resolved via BranchTaken
-	ClassJmp
-	ClassCall
-	ClassRet
-	ClassHalt
 	ClassCkptSt
 	ClassSavePC
 	ClassRegionEnd
@@ -66,8 +77,8 @@ func (cl Class) TouchesMemSystem() bool {
 }
 
 // Interpreter fast-path flags, one byte per class: the fused engine
-// loops test the whole byte for zero to take the common pure-compute
-// path with a single branch instead of re-deriving each property.
+// loops test the whole byte for zero to stay in their call-free inner
+// loop with a single branch instead of re-deriving each property.
 const (
 	// FlagMemSystem mirrors TouchesMemSystem.
 	FlagMemSystem uint8 = 1 << iota
@@ -75,20 +86,31 @@ const (
 	FlagDelim
 	// FlagHalt marks the halt class.
 	FlagHalt
+	// FlagGeneric marks the pure-compute classes resolved through the
+	// generic evaluators (EvalALU, BranchTaken), which the fused loops
+	// retire in their slow path, and every byte that is not a class.
+	FlagGeneric
 )
 
-// ClassFlags tabulates the fast-path flags per class.
-var ClassFlags = func() (t [NumClasses]uint8) {
-	for cl := Class(0); cl < NumClasses; cl++ {
+// ClassFlags tabulates the fast-path flags per class. It spans every
+// Class value, so indexing it needs no bounds check, and a byte that is
+// no class is flagged so the fused loops reach their unknown-class panic.
+var ClassFlags = func() (t [256]uint8) {
+	for cl := range t {
 		var f uint8
-		if cl.TouchesMemSystem() {
+		if Class(cl).TouchesMemSystem() {
 			f |= FlagMemSystem
 		}
-		if cl == ClassRegionEnd || cl == ClassFence {
+		switch Class(cl) {
+		case ClassRegionEnd, ClassFence:
 			f |= FlagDelim
-		}
-		if cl == ClassHalt {
+		case ClassHalt:
 			f |= FlagHalt
+		case ClassALURR, ClassALURRDiv, ClassBranch:
+			f |= FlagGeneric
+		}
+		if cl >= int(NumClasses) {
+			f |= FlagGeneric
 		}
 		t[cl] = f
 	}
@@ -127,8 +149,12 @@ func (o Op) Class() Class {
 		return ClassALURR
 	case o == OpMulI:
 		return ClassALURIMul
-	case o.IsALURI():
-		return ClassALURI
+	case o == OpShlI:
+		return ClassShlI
+	case o == OpShrI:
+		return ClassShrI
+	case o == OpSarI:
+		return ClassSarI
 	case o == OpMovI:
 		return ClassMovI
 	case o == OpMov:
@@ -145,6 +171,10 @@ func (o Op) Class() Class {
 		return ClassBeq
 	case o == OpBne:
 		return ClassBne
+	case o == OpBlt:
+		return ClassBlt
+	case o == OpBge:
+		return ClassBge
 	case o.IsBranch():
 		return ClassBranch
 	case o == OpJmp:

@@ -43,10 +43,16 @@ func TestClassLatencySplits(t *testing.T) {
 		{OpAddI, ClassAddI},
 		{OpXor, ClassXor},
 		{OpShl, ClassALURR},
-		{OpShlI, ClassALURI},
+		{OpSltu, ClassALURR},
+		{OpShlI, ClassShlI},
+		{OpShrI, ClassShrI},
+		{OpSarI, ClassSarI},
 		{OpBeq, ClassBeq},
 		{OpBne, ClassBne},
-		{OpBlt, ClassBranch},
+		{OpBlt, ClassBlt},
+		{OpBge, ClassBge},
+		{OpBltu, ClassBranch},
+		{OpBgeu, ClassBranch},
 		{OpRegionEnd, ClassRegionEnd},
 		{OpFence, ClassFence},
 		{OpCkptSt, ClassCkptSt},
@@ -55,6 +61,39 @@ func TestClassLatencySplits(t *testing.T) {
 		if got := c.op.Class(); got != c.want {
 			t.Errorf("%v.Class() = %d, want %d", c.op, got, c.want)
 		}
+	}
+}
+
+// TestClassFlagsPartition pins the split the fused interpreter loops rely
+// on: a class is flagged iff it calls out (memory system, generic
+// evaluator) or ends the loop (halt, delimiter), the unflagged classes
+// are a dense prefix of the numbering, and no byte beyond the last class
+// is unflagged.
+func TestClassFlagsPartition(t *testing.T) {
+	generic := map[Class]bool{ClassALURR: true, ClassALURRDiv: true, ClassBranch: true}
+	inner := 0
+	for cl := 0; cl < len(ClassFlags); cl++ {
+		f := ClassFlags[cl]
+		if cl >= int(NumClasses) {
+			if f == 0 {
+				t.Errorf("byte %d is no class but unflagged", cl)
+			}
+			continue
+		}
+		c := Class(cl)
+		want := c.TouchesMemSystem() || c == ClassHalt || generic[c]
+		if (f != 0) != want {
+			t.Errorf("class %d: flags %#x, want flagged=%v", cl, f, want)
+		}
+		if f == 0 {
+			if cl != inner {
+				t.Errorf("unflagged class %d follows a flagged one", cl)
+			}
+			inner++
+		}
+	}
+	if inner != int(ClassALURR) {
+		t.Errorf("%d unflagged classes, want the %d before ClassALURR", inner, ClassALURR)
 	}
 }
 

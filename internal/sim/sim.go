@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 	"sync"
 
@@ -226,11 +225,6 @@ func (r *Result) Metrics() *telemetry.Snapshot {
 	}
 	return reg.Snapshot()
 }
-
-// debugOutages, enabled by setting the SIM_DEBUG environment variable,
-// prints one line per power cycle (failure point, restored PC, voltage) —
-// the quickest way to see a recovery protocol misbehaving.
-var debugOutages = os.Getenv("SIM_DEBUG") != ""
 
 // ErrStagnation reports a power source too weak to ever recharge the
 // capacitor to the restore threshold.
@@ -550,9 +544,6 @@ func (r *runner) powerCycle() error {
 		r.zeroProgress = 0
 	}
 	r.lastOutageExec = core.Counts.Executed
-	if debugOutages {
-		fmt.Printf("OUTAGE %d at now=%d pc=%d executed=%d V=%.3f r0=%d\n", res.Outages, r.now, core.PC, core.Counts.Executed, cap.V(), core.Regs[0])
-	}
 	res.Outages++
 	r.tr.Emit(telemetry.EvOutageBegin, r.now, int64(res.Outages), 0, 0, quantV(cap.V()))
 	chargeBefore := res.ChargeNs
@@ -574,9 +565,6 @@ func (r *runner) powerCycle() error {
 	before := led.Total()
 	restoreStart := r.now
 	pc, rcost := s.Restore(r.now, &core.Regs)
-	if debugOutages {
-		fmt.Printf("  RESTORE -> pc=%d V=%.3f r0=%d r13=%d\n", pc, cap.V(), core.Regs[0], core.Regs[13])
-	}
 	r.tr.Emit(telemetry.EvRestore, restoreStart, pc, rcost.Ns, 0, 0)
 	core.PC = pc
 	cap.Draw(led.Total() - before)
