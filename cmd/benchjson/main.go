@@ -27,8 +27,9 @@ import (
 )
 
 // gitCommit resolves the current commit: the VCS stamp the go toolchain
-// embeds when it has one, else a direct `git rev-parse`, else "unknown"
-// (benchjson must keep working outside a checkout).
+// embeds when it has one, else a direct `git rev-parse` (marked -dirty
+// when `git status --porcelain` lists changes, as the stamp would be),
+// else "unknown" (benchjson must keep working outside a checkout).
 func gitCommit() string {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		var rev, dirty string
@@ -50,7 +51,11 @@ func gitCommit() string {
 	if err != nil {
 		return "unknown"
 	}
-	return strings.TrimSpace(string(out))
+	rev := strings.TrimSpace(string(out))
+	if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(st) > 0 {
+		rev += "-dirty"
+	}
+	return rev
 }
 
 func main() {

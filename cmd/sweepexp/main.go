@@ -39,9 +39,9 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/config"
 	"repro/internal/exp"
-	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -240,15 +240,15 @@ func main() {
 	info.Journal = *journalPath
 
 	if *journalPath != "" {
-		jn, err := journal.Open(*journalPath)
+		st, err := store.Open(*journalPath, 0)
 		if err != nil {
 			fail("journal open failed", "path", *journalPath, "err", err)
 		}
-		defer jn.Close()
-		ctx.Journal = jn
-		if st := jn.Stats(); st.Loaded > 0 || st.Corrupt > 0 {
+		defer st.Close()
+		ctx.Store = st
+		if d := st.Stats().Disk; d.Loaded > 0 || d.Corrupt > 0 {
 			log.Info("journal loaded",
-				"path", *journalPath, "cells_loaded", st.Loaded, "lines_corrupt", st.Corrupt)
+				"path", *journalPath, "cells_loaded", d.Loaded, "lines_corrupt", d.Corrupt)
 		}
 	}
 	if *chaosSpec != "" {
@@ -270,9 +270,9 @@ func main() {
 	if *listen != "" {
 		tracker := obs.NewCampaignTracker(log)
 		ctx.Tracker = tracker
-		if ctx.Journal != nil {
-			st := ctx.Journal.Stats()
-			tracker.SetJournalStats(st.Loaded, st.Corrupt)
+		if ctx.Store != nil {
+			d := ctx.Store.Stats().Disk
+			tracker.SetJournalStats(d.Loaded, d.Corrupt)
 		}
 		stopWatchdog := tracker.StartWatchdog(2*time.Second, 4)
 		defer stopWatchdog()
@@ -310,12 +310,12 @@ func main() {
 			if err := e.run(ctx); err != nil {
 				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 					log.Error("interrupted", "exp", e.name, "err", err)
-					if *journalPath != "" {
-						st := ctx.Journal.Stats()
+					if ctx.Store != nil {
+						d := ctx.Store.Stats().Disk
 						log.Info("completed cells are journaled — rerun with the same flags to resume",
 							"journal", *journalPath,
-							"cells_loaded", st.Loaded, "cells_appended", st.Appends,
-							"lines_corrupt", st.Corrupt)
+							"cells_loaded", d.Loaded, "cells_appended", d.Appends,
+							"lines_corrupt", d.Corrupt)
 					}
 					os.Exit(130)
 				}

@@ -137,10 +137,13 @@ func decide(seed int64, cell string, attempt uint64) float64 {
 	return float64(u>>11) / float64(1<<53)
 }
 
-// CellStart is called by each worker as a cell attempt begins. It may
-// panic (InjectedPanic) and may trigger the armed cancellation; both
-// decisions are deterministic in (seed, cell, attempt).
-func (in *Injector) CellStart(workload, scheme string) {
+// CellStart is called by each worker as a cell attempt begins; the cell
+// is the workload on the scheme under power-trace seed traceSeed, so the
+// seeds of one (workload, scheme) that a seed sweep runs concurrently
+// keep attempt counters of their own. It may panic (InjectedPanic) and
+// may trigger the armed cancellation; both decisions are deterministic in
+// (seed, cell, attempt).
+func (in *Injector) CellStart(workload, scheme string, traceSeed int64) {
 	n := in.starts.Add(1)
 	if in.cfg.CancelAfter > 0 && n == uint64(in.cfg.CancelAfter) {
 		in.mu.Lock()
@@ -158,7 +161,7 @@ func (in *Injector) CellStart(workload, scheme string) {
 	if in.cfg.PanicProb <= 0 {
 		return
 	}
-	cell := workload + "/" + scheme
+	cell := workload + "/" + scheme + "/" + strconv.FormatInt(traceSeed, 10)
 	in.mu.Lock()
 	in.attempts[cell]++
 	attempt := in.attempts[cell]

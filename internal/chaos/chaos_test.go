@@ -29,7 +29,7 @@ func TestParse(t *testing.T) {
 }
 
 // startOutcome records whether one CellStart attempt panicked.
-func startOutcome(in *Injector, workload, scheme string) (panicked bool) {
+func startOutcome(in *Injector, workload, scheme string, traceSeed int64) (panicked bool) {
 	defer func() {
 		if v := recover(); v != nil {
 			if _, ok := v.(InjectedPanic); !ok {
@@ -38,7 +38,7 @@ func startOutcome(in *Injector, workload, scheme string) (panicked bool) {
 			panicked = true
 		}
 	}()
-	in.CellStart(workload, scheme)
+	in.CellStart(workload, scheme, traceSeed)
 	return false
 }
 
@@ -50,7 +50,7 @@ func TestPanicDeterminism(t *testing.T) {
 		in := New(Config{Seed: seed, PanicProb: 0.5})
 		var out []bool
 		for i := 0; i < 64; i++ {
-			out = append(out, startOutcome(in, "wl"+string(rune('a'+i%8)), "scheme"+string(rune('0'+i/8))))
+			out = append(out, startOutcome(in, "wl"+string(rune('a'+i%8)), "scheme"+string(rune('0'+i/8)), 1))
 		}
 		return out
 	}
@@ -80,6 +80,22 @@ func TestPanicDeterminism(t *testing.T) {
 	}
 }
 
+// TestSeedOrderIndependent: the seeds of one (workload, scheme), which a
+// seed sweep runs concurrently in any order, draw the same decisions
+// whatever order their attempts start in.
+func TestSeedOrderIndependent(t *testing.T) {
+	a, b := New(Config{Seed: 7, PanicProb: 0.5}), New(Config{Seed: 7, PanicProb: 0.5})
+	want := map[int64]bool{}
+	for s := int64(1); s <= 16; s++ {
+		want[s] = startOutcome(a, "sha", "sweep-eb", s)
+	}
+	for s := int64(16); s >= 1; s-- {
+		if got := startOutcome(b, "sha", "sweep-eb", s); got != want[s] {
+			t.Errorf("seed %d: panicked=%v in reverse order, %v in order", s, got, want[s])
+		}
+	}
+}
+
 // TestAttemptSalting pins the convergence property the resume loop needs:
 // a cell that panics on one attempt draws fresh on the next, so repeated
 // retries of the same cell eventually pass even at high panic probability.
@@ -89,7 +105,7 @@ func TestAttemptSalting(t *testing.T) {
 		if attempt > 200 {
 			t.Fatal("cell never passed in 200 attempts — attempt salting broken")
 		}
-		if !startOutcome(in, "sha", "sweep-eb") {
+		if !startOutcome(in, "sha", "sweep-eb", 1) {
 			break
 		}
 	}
@@ -100,12 +116,12 @@ func TestCancelAfter(t *testing.T) {
 	ctx, cancel := in.Arm(context.Background())
 	defer cancel()
 	for i := 0; i < 2; i++ {
-		in.CellStart("w", "s")
+		in.CellStart("w", "s", 1)
 		if ctx.Err() != nil {
 			t.Fatalf("cancelled after %d starts, want 3", i+1)
 		}
 	}
-	in.CellStart("w", "s")
+	in.CellStart("w", "s", 1)
 	if ctx.Err() == nil {
 		t.Fatal("not cancelled after the configured number of starts")
 	}

@@ -26,6 +26,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -59,23 +60,25 @@ type Context struct {
 	// time; an overrunning cell fails with context.DeadlineExceeded while
 	// the rest of the matrix completes.
 	CellTimeout time.Duration
-	// Journal, when non-nil, makes the run crash-safe: every completed
-	// cell is appended durably, and cells already proven under the
-	// identical configuration (and engine version) are skipped. See
-	// internal/journal.
-	Journal *journal.Journal
+	// Store, when non-nil, remembers every matrix cell and makes the run
+	// crash-safe: cells already in the store under the identical
+	// configuration (and engine version) are skipped, and each computed
+	// cell goes through Store.GetOrCompute, so it is durable (journal
+	// append + fsync) before the run counts it. nil runs every cell with
+	// no memo. See internal/store.
+	Store *store.Store
 	// Chaos, when non-nil, injects deterministic faults (worker panics,
 	// mid-run cancellation) for resilience testing. See internal/chaos.
 	Chaos *chaos.Injector
 
 	// Tracker, when non-nil, follows every matrix cell through its state
-	// machine (pending/running/done/failed/journal-skipped) for the live
+	// machine (pending/running/done/failed/store-skipped) for the live
 	// introspection endpoints. The nil path costs nothing: every hook is
 	// a nil-safe method call carrying only pre-existing values. See
 	// internal/obs and docs/OBSERVABILITY.md.
 	Tracker *obs.CampaignTracker
 	// Metrics, when non-nil, accumulates every simulated run's metrics
-	// snapshot across the (parallel) experiment matrices. Journal-skipped
+	// snapshot across the (parallel) experiment matrices. Store-skipped
 	// cells were not simulated and contribute nothing.
 	Metrics *telemetry.Snapshot
 	// TraceDir, when set, records one JSONL telemetry stream per
@@ -217,41 +220,89 @@ func profileName(profile *trace.Profile) string {
 	return profile.String()
 }
 
-// matrixJob is one cell's work order.
-type matrixJob struct {
-	w workloads.Workload
-	k arch.Kind
+// cellJob is one cell's work order: a workload on a scheme under one
+// power-trace seed.
+type cellJob struct {
+	w    workloads.Workload
+	k    arch.Kind
+	seed int64
 }
 
-// cellID builds the journal identity of one cell under this context.
-func (c *Context) cellID(j matrixJob, pname, fp string) journal.Cell {
-	return journal.Cell{
-		Workload: j.w.Name,
+// cellRun is what every cell of one run shares: the simulation
+// parameters, the supply (nil = outage-free), and the identity fields
+// they fix.
+type cellRun struct {
+	p       config.Params
+	profile *trace.Profile
+	id      journal.Cell // Workload, Scheme and Seed are set per cell
+}
+
+func (c *Context) newCellRun(p config.Params, profile *trace.Profile) *cellRun {
+	return &cellRun{p: p, profile: profile, id: journal.Cell{
 		Scale:    c.Scale,
-		Scheme:   j.k.String(),
-		Profile:  pname,
-		Seed:     c.Seed,
-		ParamsFP: fp,
+		Profile:  profileName(profile),
+		ParamsFP: p.Fingerprint(),
 		Engine:   sim.EngineVersion,
-	}
+	}}
 }
 
-// runMatrix executes every workload on NVP plus the requested kinds, in
-// parallel, under fresh per-run cursors of the same trace profile (nil =
-// outage-free). Deterministic: each run sees the identical timeline.
+// cellID is the journal/store identity of one cell of the run.
+func (r *cellRun) cellID(workload string, k arch.Kind, seed int64) journal.Cell {
+	id := r.id
+	id.Workload, id.Scheme, id.Seed = workload, k.String(), seed
+	return id
+}
+
+// fail builds one cell's typed failure. Seeds are never folded into one
+// error: a cell that fails on two seeds reports two *CellError values,
+// each independently actionable (and independently resumable).
+func (r *cellRun) fail(j cellJob, cause error, stack []byte) *CellError {
+	return &CellError{Workload: j.w.Name, Scheme: j.k.String(), Profile: r.id.Profile,
+		Seed: j.seed, ParamsFP: r.id.ParamsFP, Err: cause, Stack: stack}
+}
+
+// cellRuns is the outcome of runCells: the schemes in run order (NVP
+// first), the workload names, and each (workload, scheme) cell's results,
+// one per seed in seed order.
+type cellRuns struct {
+	kinds []arch.Kind
+	names []string
+	res   map[cell][]*sim.Result
+}
+
+// runMatrix executes every workload on NVP plus the requested kinds under
+// the context's seed of the trace profile (nil = outage-free). See
+// runCells.
+func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.Params) (*Matrix, error) {
+	runs, err := c.runCells(kinds, 1, profile, p)
+	if err != nil {
+		return nil, err
+	}
+	m := &Matrix{Kinds: kinds, Names: runs.names, Results: make(map[cell]*sim.Result, len(runs.res))}
+	for k, rs := range runs.res {
+		m.Results[k] = rs[0]
+	}
+	return m, nil
+}
+
+// runCells executes every workload on NVP plus the requested kinds under
+// seeds power-trace timelines (c.Seed onwards) of the same profile (nil =
+// outage-free), in parallel, each on a fresh cursor. Deterministic: every
+// run of one seed sees the identical timeline. Every matrix and the seed
+// sweep run their cells here.
 //
 // Resilience properties (see docs/ROBUSTNESS.md):
 //   - Each worker isolates panics: one bad cell fails one cell, as a
-//     *CellError carrying workload/scheme/supply/params identity plus the
-//     recovered stack, while healthy cells complete. errors.Join reports
-//     every failure.
+//     *CellError carrying workload/scheme/supply/seed/params identity plus
+//     the recovered stack, while healthy cells complete. errors.Join
+//     reports every failure.
 //   - A cancelled context stops dispatch, aborts in-flight cells at their
 //     next epoch boundary, and joins the workers before returning — no
 //     orphaned goroutines, ever.
-//   - With a journal attached, completed cells are durable and re-runs
+//   - With a store attached, completed cells are durable and re-runs
 //     skip them, so any interruption (cancel, panic, kill -9) resumes to
 //     a byte-identical result.
-func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.Params) (*Matrix, error) {
+func (c *Context) runCells(kinds []arch.Kind, seeds int, profile *trace.Profile, p config.Params) (*cellRuns, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("exp: invalid params: %w", err)
 	}
@@ -259,26 +310,25 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 	if len(wl) == 0 {
 		return nil, errors.New("exp: empty workload set — nothing to run")
 	}
-	m := &Matrix{Kinds: kinds, Results: map[cell]*sim.Result{}}
-	for _, w := range wl {
-		m.Names = append(m.Names, w.Name)
-	}
 
 	// NVP (the baseline every figure normalizes to) always runs; requested
 	// kinds are deduplicated so a caller listing NVP explicitly does not
 	// double-run it.
-	allKinds := []arch.Kind{arch.NVP}
+	runs := &cellRuns{kinds: []arch.Kind{arch.NVP}, res: map[cell][]*sim.Result{}}
 	seen := map[arch.Kind]bool{arch.NVP: true}
 	for _, k := range kinds {
 		if !seen[k] {
 			seen[k] = true
-			allKinds = append(allKinds, k)
+			runs.kinds = append(runs.kinds, k)
 		}
 	}
-	var jobs []matrixJob
+	var jobs []cellJob
 	for _, w := range wl {
-		for _, k := range allKinds {
-			jobs = append(jobs, matrixJob{w, k})
+		runs.names = append(runs.names, w.Name)
+		for _, k := range runs.kinds {
+			for i := 0; i < seeds; i++ {
+				jobs = append(jobs, cellJob{w, k, c.Seed + int64(i)})
+			}
 		}
 	}
 
@@ -288,33 +338,32 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 		ctx, cancel = c.Chaos.Arm(ctx)
 		defer cancel()
 	}
-	pname := profileName(profile)
-	fp := p.Fingerprint()
+	run := c.newCellRun(p, profile)
 
-	// Live tracking: register the matrix's cells before the journal pass
-	// so /progress sees skips as skips, not as missing cells. Guarded —
+	// Live tracking: register the run's cells before the store pass so
+	// /progress sees skips as skips, not as missing cells. Guarded —
 	// building the meta slice is the one tracker interaction that
 	// allocates, and the nil path must stay allocation-free.
 	var trkBase int
 	if c.Tracker != nil {
 		metas := make([]obs.CellMeta, len(jobs))
 		for i, j := range jobs {
-			metas[i] = obs.CellMeta{Workload: j.w.Name, Scheme: j.k.String(), Profile: pname}
+			metas[i] = obs.CellMeta{Workload: j.w.Name, Scheme: j.k.String(), Profile: run.id.Profile}
 		}
 		trkBase = c.Tracker.AddCells(metas)
 	}
 
-	// Journal consultation: cells already proven under this exact
+	// Store consultation: cells already proven under this exact
 	// configuration are reconstructed, not re-simulated.
 	results := make([]*sim.Result, len(jobs))
 	errs := make([]error, len(jobs))
 	var pending []int
-	journalHits := 0
+	reused := 0
 	for idx, j := range jobs {
-		if c.Journal != nil {
-			if rec, ok := c.Journal.Lookup(c.cellID(j, pname, fp)); ok {
+		if c.Store != nil {
+			if rec, _, ok := c.Store.Lookup(run.cellID(j.w.Name, j.k, j.seed)); ok {
 				results[idx] = rec.Result()
-				journalHits++
+				reused++
 				c.Tracker.Skip(trkBase + idx)
 				continue
 			}
@@ -351,43 +400,24 @@ func (c *Context) runMatrix(kinds []arch.Kind, profile *trace.Profile, p config.
 				// every undone cell reports the cancellation and the pool
 				// winds down promptly.
 				if err := ctx.Err(); err != nil {
-					errs[idx] = &CellError{Workload: j.w.Name, Scheme: j.k.String(),
-						Profile: pname, Seed: c.Seed, ParamsFP: fp, Err: err}
+					errs[idx] = run.fail(j, err, nil)
 					c.Tracker.Fail(i, trkBase+idx, err, false)
 					continue
 				}
 				c.Tracker.Start(i, trkBase+idx)
-				res, err := c.runCell(ctx, j, p, profile, pname, fp)
-				if err != nil {
-					errs[idx] = err
-					if c.Tracker != nil {
-						var ce *CellError
-						panicked := errors.As(err, &ce) && ce.Stack != nil
-						c.Tracker.Fail(i, trkBase+idx, err, panicked)
-					}
+				results[idx], errs[idx] = c.storedCell(ctx, run, j)
+				if errs[idx] == nil {
+					c.Tracker.Done(i, trkBase+idx)
 					continue
 				}
-				if c.Journal != nil {
-					if err := c.Journal.Append(c.cellID(j, pname, fp), journal.FromResult(res)); err != nil {
-						// Durability is part of the contract when a journal
-						// is attached: a cell whose proof cannot be written
-						// is reported failed (its result is still returned
-						// in-memory via results for this run).
-						errs[idx] = &CellError{Workload: j.w.Name, Scheme: j.k.String(),
-							Profile: pname, Seed: c.Seed, ParamsFP: fp, Err: err}
-					}
-				}
-				results[idx] = res
-				if errs[idx] != nil {
-					c.Tracker.Fail(i, trkBase+idx, errs[idx], false)
-				} else {
-					c.Tracker.Done(i, trkBase+idx)
-				}
+				var ce *CellError
+				panicked := errors.As(errs[idx], &ce) && ce.Stack != nil
+				c.Tracker.Fail(i, trkBase+idx, errs[idx], panicked)
 			}
 		}()
 	}
 	// Dispatch until done or cancelled; either way the channel closes and
-	// the workers join before runMatrix returns.
+	// the workers join before runCells returns.
 feed:
 	for _, idx := range pending {
 		select {
@@ -399,11 +429,11 @@ feed:
 	close(jobCh)
 	wg.Wait()
 
-	// Fold journal/chaos activity into the metrics accumulator.
-	if c.Metrics != nil && (c.Journal != nil || c.Chaos != nil) {
+	// Fold store/chaos activity into the metrics accumulator.
+	if c.Metrics != nil && (c.Store != nil || c.Chaos != nil) {
 		reg := telemetry.NewRegistry()
-		if c.Journal != nil {
-			reg.Counter("journal.cells_reused").Add(uint64(journalHits))
+		if c.Store != nil {
+			reg.Counter("journal.cells_reused").Add(uint64(reused))
 		}
 		if c.Chaos != nil {
 			reg.Counter("chaos.injected_panics").Add(c.Chaos.Panics() - chaosPanics)
@@ -421,8 +451,8 @@ feed:
 	// Error assembly: a cancelled run reports the cancellation (wrapping
 	// ctx.Err() so errors.Is works) plus any genuine cell failures;
 	// otherwise every failed cell is reported, in job order, while the
-	// healthy cells' results stand — and, with a journal, are already
-	// durable, so the matrix is resumable.
+	// healthy cells' results stand — and, with a store, are already
+	// durable, so the run is resumable.
 	var real []error
 	interrupted := 0
 	for _, err := range errs {
@@ -449,27 +479,56 @@ feed:
 		return nil, err
 	}
 	for i, j := range jobs {
-		m.Results[cell{j.w.Name, j.k}] = results[i]
+		key := cell{j.w.Name, j.k}
+		runs.res[key] = append(runs.res[key], results[i])
 	}
-	return m, nil
+	return runs, nil
 }
 
-// runCell runs one matrix cell inside a panic isolation boundary: a
-// panicking simulation (or injected chaos fault) is converted into a
-// *CellError with the recovered value and stack, so the rest of the
-// matrix is unaffected.
-func (c *Context) runCell(ctx context.Context, j matrixJob, p config.Params, profile *trace.Profile, pname, fp string) (res *sim.Result, err error) {
-	mkErr := func(cause error, stack []byte) *CellError {
-		return &CellError{Workload: j.w.Name, Scheme: j.k.String(),
-			Profile: pname, Seed: c.Seed, ParamsFP: fp, Err: cause, Stack: stack}
+// storedCell runs one cell through the store when one is attached: the
+// store serves a cell proven meanwhile, and a computed cell is durable
+// before it is returned. Without a store the cell simply runs.
+func (c *Context) storedCell(ctx context.Context, run *cellRun, j cellJob) (*sim.Result, error) {
+	if c.Store == nil {
+		return c.runCell(ctx, run, j)
 	}
+	var res *sim.Result
+	rec, _, err := c.Store.GetOrCompute(ctx, run.cellID(j.w.Name, j.k, j.seed), func(ctx context.Context) (*journal.Record, error) {
+		r, err := c.runCell(ctx, run, j)
+		if err != nil {
+			return nil, err
+		}
+		res = r
+		return journal.FromResult(r), nil
+	})
+	if err != nil {
+		// A compute failure is already a *CellError; the store's own (a
+		// proof that could not be made durable) is wrapped to name the
+		// cell.
+		var ce *CellError
+		if !errors.As(err, &ce) {
+			err = run.fail(j, err, nil)
+		}
+		return nil, err
+	}
+	if res == nil {
+		res = rec.Result() // served by the store, not simulated here
+	}
+	return res, nil
+}
+
+// runCell runs one cell inside a panic isolation boundary: a panicking
+// simulation (or injected chaos fault) is converted into a *CellError
+// with the recovered value and stack, so the rest of the run is
+// unaffected.
+func (c *Context) runCell(ctx context.Context, run *cellRun, j cellJob) (res *sim.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			res, err = nil, mkErr(fmt.Errorf("worker panic: %v", v), debug.Stack())
+			res, err = nil, run.fail(j, fmt.Errorf("worker panic: %v", v), debug.Stack())
 		}
 	}()
 	if c.Chaos != nil {
-		c.Chaos.CellStart(j.w.Name, j.k.String())
+		c.Chaos.CellStart(j.w.Name, j.k.String(), j.seed)
 	}
 	runCtx := ctx
 	if c.CellTimeout > 0 {
@@ -478,12 +537,12 @@ func (c *Context) runCell(ctx context.Context, j matrixJob, p config.Params, pro
 		defer cancel()
 	}
 	var src trace.Source
-	if profile != nil {
-		src = trace.NewShared(*profile, c.Seed)
+	if run.profile != nil {
+		src = trace.NewShared(*run.profile, j.seed)
 	}
-	res, runErr := c.runJob(runCtx, j.w, j.k, p, src)
+	res, runErr := c.runJob(runCtx, j.w, j.k, run.p, src)
 	if runErr != nil {
-		return nil, mkErr(runErr, nil)
+		return nil, run.fail(j, runErr, nil)
 	}
 	return res, nil
 }

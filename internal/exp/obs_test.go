@@ -13,6 +13,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -76,7 +77,7 @@ func TestRunMatrixTrackerJournalSkips(t *testing.T) {
 	j1.Fsync = false
 	c1, kinds := trackedCtx()
 	c1.Tracker = nil
-	c1.Journal = j1
+	c1.Store = store.New(j1, 0)
 	if _, err := c1.runMatrix(kinds, nil, c1.Params); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestRunMatrixTrackerJournalSkips(t *testing.T) {
 	defer j2.Close()
 	j2.Fsync = false
 	c2, kinds := trackedCtx()
-	c2.Journal = j2
+	c2.Store = store.New(j2, 0)
 	c2.Metrics = telemetry.NewSnapshot()
 	st := j2.Stats()
 	c2.Tracker.SetJournalStats(st.Loaded, st.Corrupt)

@@ -17,8 +17,8 @@ import (
 	"repro/internal/arch"
 	"repro/internal/chaos"
 	"repro/internal/journal"
+	"repro/internal/store"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 // resilienceCtx is the shared quick configuration: 8 workloads x 8
@@ -39,16 +39,10 @@ func cleanDigests(t *testing.T) (map[journal.Cell]string, *Matrix) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := c.Params.Fingerprint()
 	want := map[journal.Cell]string{}
 	for _, name := range m.Names {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, k := range kinds {
-			id := c.cellID(matrixJob{w: w, k: k}, profileName(pr), fp)
-			want[id] = journal.FromResult(m.Get(name, k)).Digest()
+			want[c.CellID(name, k, pr)] = journal.FromResult(m.Get(name, k)).Digest()
 		}
 	}
 	return want, m
@@ -71,7 +65,7 @@ func TestKillResumeInvariant(t *testing.T) {
 	}
 	j1.Fsync = false
 	c1, kinds, pr := resilienceCtx()
-	c1.Journal = j1
+	c1.Store = store.New(j1, 0)
 	c1.Chaos = chaos.New(chaos.Config{Seed: 11, CancelAfter: 20})
 	if _, err := c1.runMatrix(kinds, pr, c1.Params); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled in the chain", err)
@@ -98,7 +92,7 @@ func TestKillResumeInvariant(t *testing.T) {
 		t.Fatalf("journal reload recovered %d cells, %d were appended", got, st.Appends)
 	}
 	c2, kinds, pr := resilienceCtx()
-	c2.Journal = j2
+	c2.Store = store.New(j2, 0)
 	m, err := c2.runMatrix(kinds, pr, c2.Params)
 	if err != nil {
 		t.Fatalf("resume run failed: %v", err)
@@ -148,7 +142,7 @@ func TestPanicIsolationAndConvergence(t *testing.T) {
 	j.Fsync = false
 
 	c, kinds, pr := resilienceCtx()
-	c.Journal = j
+	c.Store = store.New(j, 0)
 	c.Chaos = chaos.New(chaos.Config{Seed: 5, PanicProb: 0.3})
 
 	var lastErr error

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/journal"
+	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -69,7 +71,7 @@ func TestSeedSweepPerSeedErrors(t *testing.T) {
 	jn.Close() // sabotage: appends now fail, lookups still work
 
 	c := sweepCtx(2)
-	c.Journal = jn
+	c.Store = store.New(jn, 0)
 	_, err = c.SeedSweep(trace.RFHome, []arch.Kind{arch.SweepEmptyBit})
 	if err == nil {
 		t.Fatal("sweep with a broken journal returned nil error")
@@ -121,7 +123,8 @@ func TestSeedSweepCanceledCollapses(t *testing.T) {
 
 // TestSeedSweepJournalResume proves per-seed durability: a sweep journals
 // one cell per (workload, scheme, seed), and a wider rerun reuses every
-// proven seed while appending only the new ones.
+// proven seed while appending only the new ones. Each seed is a tracked
+// cell of its own: done when simulated, skipped when the store proves it.
 func TestSeedSweepJournalResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	jn, err := journal.Open(path)
@@ -129,7 +132,8 @@ func TestSeedSweepJournalResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := sweepCtx(2)
-	c.Journal = jn
+	c.Store = store.New(jn, 0)
+	c.Tracker = obs.NewCampaignTracker(nil)
 	r1, err := c.SeedSweep(trace.RFHome, []arch.Kind{arch.SweepEmptyBit})
 	if err != nil {
 		t.Fatal(err)
@@ -137,6 +141,9 @@ func TestSeedSweepJournalResume(t *testing.T) {
 	appended := jn.Stats().Appends
 	if appended != 4 { // (NVP + SweepEmptyBit) × 2 seeds
 		t.Fatalf("first sweep journaled %d cells, want 4", appended)
+	}
+	if p := c.Tracker.Progress(); p.Total != 4 || p.Done != 4 || p.Skipped != 0 {
+		t.Fatalf("first sweep tracked %+v, want 4 total / 4 done", p)
 	}
 	jn.Close()
 
@@ -146,7 +153,8 @@ func TestSeedSweepJournalResume(t *testing.T) {
 	}
 	defer jn2.Close()
 	c2 := sweepCtx(3)
-	c2.Journal = jn2
+	c2.Store = store.New(jn2, 0)
+	c2.Tracker = obs.NewCampaignTracker(nil)
 	r2, err := c2.SeedSweep(trace.RFHome, []arch.Kind{arch.SweepEmptyBit})
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +162,9 @@ func TestSeedSweepJournalResume(t *testing.T) {
 	st := jn2.Stats()
 	if st.Loaded != 4 || st.Appends != 2 {
 		t.Fatalf("resume loaded %d / appended %d cells, want 4 / 2", st.Loaded, st.Appends)
+	}
+	if p := c2.Tracker.Progress(); p.Total != 6 || p.Skipped != 4 || p.Done != 2 {
+		t.Fatalf("resumed sweep tracked %+v, want 6 total / 4 skipped / 2 done", p)
 	}
 	// Seeds 1-2 were reconstructed from the journal; the 3-seed mean must
 	// still be consistent with the 2-seed mean (same underlying samples).

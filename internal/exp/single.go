@@ -15,23 +15,15 @@ import (
 // profile) cell under this context's scale, seed, params, and engine
 // revision — the content-hash key the result store memoizes on.
 func (c *Context) CellID(workload string, kind arch.Kind, profile *trace.Profile) journal.Cell {
-	return journal.Cell{
-		Workload: workload,
-		Scale:    c.Scale,
-		Scheme:   kind.String(),
-		Profile:  profileName(profile),
-		Seed:     c.Seed,
-		ParamsFP: c.Params.Fingerprint(),
-		Engine:   sim.EngineVersion,
-	}
+	return c.newCellRun(c.Params, profile).cellID(workload, kind, c.Seed)
 }
 
 // RunSingle executes one cell with the full matrix-cell machinery —
 // parameter validation, panic isolation (a panicking simulation comes
 // back as a *CellError with the stack, never up the caller's stack),
 // CellTimeout, chaos injection, and metrics accumulation — but without
-// the matrix's journal consultation: callers like the result store own
-// the caching story. This is the simulation entry point of
+// the matrix's store consultation (Context.Store is ignored): callers
+// like the service's result store own the caching story. This is the simulation entry point of
 // simulation-as-a-service (internal/service).
 func (c *Context) RunSingle(ctx context.Context, workload string, kind arch.Kind, profile *trace.Profile) (*sim.Result, error) {
 	w, err := workloads.ByName(workload)
@@ -44,6 +36,5 @@ func (c *Context) RunSingle(ctx context.Context, workload string, kind arch.Kind
 	if ctx == nil {
 		ctx = c.ctx()
 	}
-	return c.runCell(ctx, matrixJob{w, kind}, c.Params, profile,
-		profileName(profile), c.Params.Fingerprint())
+	return c.runCell(ctx, c.newCellRun(c.Params, profile), cellJob{w, kind, c.Seed})
 }

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -61,10 +62,26 @@ type Cell struct {
 	Engine string `json:"engine"`
 }
 
-// Key returns the cell's content-hash key.
+// Key returns the cell's content-hash key: the hex SHA-256 of the
+// identity fields in declaration order, joined by NUL bytes, integers in
+// decimal. Open re-derives every line's key from its cell, so these bytes
+// are fixed by the journals already on disk (TestCellKeyGolden).
 func (c Cell) Key() string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("%s\x00%d\x00%s\x00%s\x00%d\x00%s\x00%s",
-		c.Workload, c.Scale, c.Scheme, c.Profile, c.Seed, c.ParamsFP, c.Engine)))
+	var buf [256]byte
+	b := append(buf[:0], c.Workload...)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, int64(c.Scale), 10)
+	b = append(b, 0)
+	b = append(b, c.Scheme...)
+	b = append(b, 0)
+	b = append(b, c.Profile...)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, c.Seed, 10)
+	b = append(b, 0)
+	b = append(b, c.ParamsFP...)
+	b = append(b, 0)
+	b = append(b, c.Engine...)
+	h := sha256.Sum256(b)
 	return hex.EncodeToString(h[:])
 }
 
@@ -304,9 +321,14 @@ func Open(path string) (*Journal, error) {
 
 // Lookup returns the journalled record for the cell, if one exists.
 func (j *Journal) Lookup(c Cell) (*Record, bool) {
+	return j.LookupKey(c.Key())
+}
+
+// LookupKey is Lookup for a caller that already holds the cell's Key.
+func (j *Journal) LookupKey(key string) (*Record, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	rec, ok := j.entries[c.Key()]
+	rec, ok := j.entries[key]
 	if ok {
 		j.stats.Hits++
 	}

@@ -128,6 +128,26 @@ func TestLookupIsolation(t *testing.T) {
 	}
 }
 
+// TestCellKeyGolden pins Cell.Key to literal hashes: Open re-derives
+// every line's key from its cell and drops a line whose key differs, so
+// a change to the key bytes would silently orphan every journal already
+// on disk.
+func TestCellKeyGolden(t *testing.T) {
+	for _, tc := range []struct {
+		c    journal.Cell
+		want string
+	}{
+		{journal.Cell{Workload: "sha", Scale: 1, Scheme: "Sweep-EB", Profile: "RFHome", Seed: -42,
+			ParamsFP: "0123456789abcdef0123456789abcdef", Engine: "engine-v9"},
+			"a7599d90684fac4a5aafd63f9ecb892efc0a922807f39fbd0f7517c56fbd2b9e"},
+		{journal.Cell{}, "f3018b2f362c3ba27750341b17560ba872360f5d4c8761b1dc28fe8a50607bdc"},
+	} {
+		if got := tc.c.Key(); got != tc.want {
+			t.Errorf("Key(%+v) = %s, want %s", tc.c, got, tc.want)
+		}
+	}
+}
+
 // TestTwoHandleConcurrentAppend opens the same journal file through two
 // independent handles — the same file-description layout two processes
 // sharing one journal would have — and appends from both concurrently.

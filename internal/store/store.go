@@ -178,14 +178,14 @@ func (s *Store) memLocked(key string) (*journal.Record, bool) {
 	return el.Value.(*memEntry).rec, true
 }
 
-// diskLocked serves the cell from the disk tier, promoting the record
-// into the memory tier.
-func (s *Store) diskLocked(c journal.Cell, key string) (*journal.Record, bool) {
+// diskLocked serves key from the disk tier, promoting the record into
+// the memory tier.
+func (s *Store) diskLocked(key string) (*journal.Record, bool) {
 	if s.disk == nil {
 		return nil, false
 	}
 	// Lock order is always store.mu -> journal.mu, never the reverse.
-	rec, ok := s.disk.Lookup(c)
+	rec, ok := s.disk.LookupKey(key)
 	if !ok {
 		return nil, false
 	}
@@ -203,7 +203,7 @@ func (s *Store) Lookup(c journal.Cell) (*journal.Record, Tier, bool) {
 	if rec, ok := s.memLocked(key); ok {
 		return rec, TierMemory, true
 	}
-	if rec, ok := s.diskLocked(c, key); ok {
+	if rec, ok := s.diskLocked(key); ok {
 		return rec, TierDisk, true
 	}
 	return nil, TierNone, false
@@ -241,7 +241,7 @@ func (s *Store) GetOrCompute(ctx context.Context, c journal.Cell, compute func(c
 			return nil, TierNone, ctx.Err()
 		}
 	}
-	if rec, ok := s.diskLocked(c, key); ok {
+	if rec, ok := s.diskLocked(key); ok {
 		s.mu.Unlock()
 		return rec, TierDisk, nil
 	}
